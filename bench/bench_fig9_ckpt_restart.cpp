@@ -78,7 +78,6 @@ CkptTimes measure_classic(Protocol protocol, int world, int rpn,
   config.protocol = protocol;
   config.image_dir = dir;
   config.failures.at_collectives = {25};  // mid-run request
-  apply_sched_options(opts, config);
 
   CkptTimes times;
   {
@@ -138,7 +137,6 @@ PipelineCell measure_pipeline(int world, int rpn, bool async_delta,
   config.ckpt_async = async_delta;
   config.ckpt_delta = async_delta;
   config.ckpt_full_every = 4;
-  apply_sched_options(opts, config);
 
   {
     Engine engine(config);

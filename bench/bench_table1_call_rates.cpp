@@ -33,11 +33,9 @@ struct Row {
 
 template <typename W>
 Row measure(const char* app, const char* input, const W& workload, int world,
-            int rpn, const Options& opts) {
+            int rpn) {
   const auto t0 = std::chrono::steady_clock::now();
-  const auto report =
-      run_workload(workload, world, rpn, Protocol::kNative,
-                   [&](EngineConfig& c) { apply_sched_options(opts, c); });
+  const auto report = run_workload(workload, world, rpn, Protocol::kNative);
   const auto t1 = std::chrono::steady_clock::now();
   const double secs = report.seconds();
   Row row;
@@ -73,33 +71,33 @@ int run(int argc, char** argv) {
     osu.params.message_bytes = 4;
     osu.params.iterations = 400;
     rows.push_back(measure("OSU MicroBench", "MPI_Bcast (msg: 4 bytes)", osu,
-                           world, rpn, opts));
+                           world, rpn));
   }
   {
     workloads::VaspProxy vasp;
     vasp.scf_iterations = 4;
-    rows.push_back(measure("VASP 6", "PdO4 (proxy)", vasp, world, rpn, opts));
+    rows.push_back(measure("VASP 6", "PdO4 (proxy)", vasp, world, rpn));
   }
   {
     workloads::PoissonCg poisson;
     poisson.iterations = 12;
     rows.push_back(
-        measure("Poisson Solver", "rel_error = 0.01 (proxy)", poisson, world, rpn, opts));
+        measure("Poisson Solver", "rel_error = 0.01 (proxy)", poisson, world, rpn));
   }
   {
     workloads::CoMDProxy comd;
     comd.timesteps = 30;
-    rows.push_back(measure("CoMD", "Cu_u6.eam (proxy)", comd, world, rpn, opts));
+    rows.push_back(measure("CoMD", "Cu_u6.eam (proxy)", comd, world, rpn));
   }
   {
     workloads::LammpsProxy lammps;
     lammps.timesteps = 30;
-    rows.push_back(measure("LAMMPS", "Scaled LJ Liquid (proxy)", lammps, world, rpn, opts));
+    rows.push_back(measure("LAMMPS", "Scaled LJ Liquid (proxy)", lammps, world, rpn));
   }
   {
     workloads::Sw4Proxy sw4;
     sw4.timesteps = 40;
-    rows.push_back(measure("SW4", "LOH.1-h50.in (proxy)", sw4, world, rpn, opts));
+    rows.push_back(measure("SW4", "LOH.1-h50.in (proxy)", sw4, world, rpn));
   }
 
   std::printf("%-16s %-28s %14s %14s %12s\n", "Application", "Input",

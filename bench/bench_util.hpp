@@ -9,7 +9,6 @@
 
 #include "common/options.hpp"
 #include "common/stats.hpp"
-#include "sched/scheduler.hpp"
 #include "simnet/mailbox.hpp"
 #include "split/engine.hpp"
 
@@ -56,21 +55,6 @@ inline std::vector<int> world_sweep(const Options& opts) {
 
 inline int ranks_per_node(const Options& opts, int fallback = 16) {
   return static_cast<int>(opts.get_int("ranks-per-node", fallback));
-}
-
-/// Apply --sched=threads|fibers|events and --sched-workers=N to an engine
-/// config (every bench accepts them; MANATEE_SCHED keeps working as the
-/// default). Unknown backend names throw UsageError (via parse_backend)
-/// rather than silently falling back to threads.
-inline void apply_sched_options(const Options& opts, EngineConfig& config) {
-  if (opts.has("sched")) {
-    config.runtime.sched.backend =
-        sched::parse_backend(opts.get("sched", "threads"));
-  }
-  if (opts.has("sched-workers")) {
-    config.runtime.sched.workers =
-        static_cast<int>(opts.get_int("sched-workers", 0));
-  }
 }
 
 }  // namespace manatee::bench

@@ -3,15 +3,10 @@
 #
 # Builds the perf-relevant benchmarks in Release mode, runs them, and merges
 # their JSON output into one report (default: BENCH_3.json in the repo root).
-# The scheduler world-scaling sweep (threads vs fibers vs events) is written
-# separately to BENCH_10.json and self-gates: fibers must beat threads on
-# wall time at every world size >= 256 ranks, the events backend must beat
-# fibers on wall time at >= 4096 ranks and on peak RSS at >= 16384 ranks,
-# and a 65536-rank failure-free world must complete within 10 s wall and
-# 4 GB VmHWM. The checkpoint-pipeline sweep (sync-full vs
-# async-delta) is written to BENCH_8.json and self-gates on virtual-time
-# ratios: async-delta stall <= 0.5x sync-full at world >= 64, and delta
-# bytes-per-generation below full everywhere. The collective-selection
+# The checkpoint-pipeline sweep (sync-full vs async-delta) is written to
+# BENCH_8.json and self-gates on virtual-time ratios: async-delta stall
+# <= 0.5x sync-full at world >= 64, and delta bytes-per-generation below
+# full everywhere. The collective-selection
 # topology sweep (1/2/4-node shapes x rail counts) is written to
 # BENCH_9.json and self-gates: the hierarchical allreduce must beat every
 # flat algorithm (and be the heuristic pick) for large messages on every
@@ -23,15 +18,14 @@
 # posted-receive path performs any heap allocation per operation.
 #
 # Usage:
-#   scripts/run_benches.sh [--build-dir DIR] [--out FILE] [--out-scaling FILE]
-#                          [--out-ckpt FILE] [--out-coll FILE] [--label NAME]
-#                          [--check FILE] [--tolerance PCT] [--quick]
+#   scripts/run_benches.sh [--build-dir DIR] [--out FILE] [--out-ckpt FILE]
+#                          [--out-coll FILE] [--label NAME] [--check FILE]
+#                          [--tolerance PCT] [--quick]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-release
 OUT=BENCH_3.json
-OUT_SCALING=BENCH_10.json
 OUT_CKPT=BENCH_8.json
 OUT_COLL=BENCH_9.json
 LABEL=current
@@ -43,7 +37,6 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
-    --out-scaling) OUT_SCALING="$2"; shift 2 ;;
     --out-ckpt) OUT_CKPT="$2"; shift 2 ;;
     --out-coll) OUT_COLL="$2"; shift 2 ;;
     --label) LABEL="$2"; shift 2 ;;
@@ -55,7 +48,7 @@ while [[ $# -gt 0 ]]; do
 done
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-TARGETS=(bench_table1_call_rates bench_p2p_rate bench_world_scaling bench_fig9_ckpt_restart bench_coll_algorithms)
+TARGETS=(bench_table1_call_rates bench_p2p_rate bench_fig9_ckpt_restart bench_coll_algorithms)
 if grep -q "GOOGLE_BENCHMARK_LIB:FILEPATH=.*benchmark" "$BUILD_DIR/CMakeCache.txt" 2>/dev/null; then
   TARGETS+=(bench_micro_components)
 fi
@@ -71,17 +64,7 @@ if [[ $QUICK -eq 1 ]]; then
   P2P_ARGS+=(--iters 50000 --ping-iters 5000)
 fi
 
-SCALING_ARGS=()
-if [[ $QUICK -eq 0 ]]; then
-  SCALING_ARGS+=(--full)   # adds the 4096..65536-rank cells (tens of seconds)
-fi
-
 "$BUILD_DIR/bench_table1_call_rates" "${TABLE1_ARGS[@]}" --json "$TMP/table1.json"
-# --check is the scheduler gate: fibers beat threads at every world >= 256,
-# events beats fibers on wall at >= 4096 and on peak RSS at >= 16384, and
-# the 65536-rank world stays under 10 s / 4 GB.
-"$BUILD_DIR/bench_world_scaling" "${SCALING_ARGS[@]}" --json "$OUT_SCALING" --check
-echo "wrote $OUT_SCALING"
 # --check is the pipeline gate: async-delta stall <= 0.5x sync-full at
 # world >= 64 and delta bytes/gen < full bytes/gen (virtual-time ratios, so
 # no machine-dependent tolerance is needed).

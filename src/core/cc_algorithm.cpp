@@ -314,12 +314,15 @@ void CcManager::at_finalize() {
   // a request that lands as ranks finish must still complete.
   while (!coordinator_.all_done() ||
          coordinator_.phase() != ckpt::CkptPhase::kIdle) {
+    // Token before phase: a drain → write transition that lands between
+    // the two reads wakes this rank's store, so the wait below returns
+    // instead of sleeping through the write phase.
+    const auto token = rank_.store().token();
     const auto phase = coordinator_.phase();
     if (phase == ckpt::CkptPhase::kWrite) {
       perform_write_cycle();
       continue;
     }
-    const auto token = rank_.store().token();
     if (phase == ckpt::CkptPhase::kDrain) {
       ensure_request_seen();
       refresh_targets();

@@ -54,11 +54,14 @@ struct TraceEvent {
 /// Single-threaded per-rank event log (each rank appends to its own).
 class TraceLog {
  public:
-  void record_collective(Ggid ggid, std::uint64_t seq, std::vector<int> members,
+  /// `members` is copied only when tracing is on: callers pass the group's
+  /// own member list on every collective.
+  void record_collective(Ggid ggid, std::uint64_t seq,
+                         const std::vector<int>& members,
                          simnet::SimTime when = 0) {
     if (!enabled_) return;
     events_.push_back(TraceEvent{TraceEventKind::kCollectiveExecuted, ggid, seq,
-                                 std::move(members), 0, nullptr, when});
+                                 members, 0, nullptr, when});
   }
 
   void record_request_seen(std::uint64_t cycle, simnet::SimTime when = 0) {

@@ -149,12 +149,13 @@ void TpcManager::at_finalize() {
   // a request that lands as ranks finish must still complete.
   while (!coordinator_.all_done() ||
          coordinator_.phase() != ckpt::CkptPhase::kIdle) {
+    // Token before phase (see CcManager::at_finalize).
+    const auto token = rank_.store().token();
     const auto phase = coordinator_.phase();
     if (phase == ckpt::CkptPhase::kWrite) {
       perform_write_cycle();
       continue;
     }
-    const auto token = rank_.store().token();
     if (phase == ckpt::CkptPhase::kDrain) {
       coordinator_.report_tpc(rank_.world_rank(), true);
     }

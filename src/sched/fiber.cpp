@@ -126,7 +126,7 @@ void manatee_fiber_trampoline();
 
 namespace manatee::sched {
 
-// ---- guarded stacks ---------------------------------------------------------
+// ---- slab stacks ------------------------------------------------------------
 
 namespace {
 
@@ -137,66 +137,25 @@ std::size_t page_size() {
 
 }  // namespace
 
-StackPool::StackPool(std::size_t stack_bytes, bool slabbed)
-    : stack_bytes_(stack_bytes), slabbed_(slabbed) {
-  MANATEE_REQUIRE(stack_bytes_ >= 4 * page_size(),
-                  "fiber stacks need at least four pages");
-}
-
 StackPool::~StackPool() {
-  if (slabbed_) {
-    // Slab stacks are carved, never individually unmapped.
-    for (const auto& [base, bytes] : slabs_) ::munmap(base, bytes);
-    return;
-  }
-  for (const auto& tier : tiers_) {
-    for (const StackAllocation& s : tier) ::munmap(s.base, s.size);
-  }
-}
-
-int StackPool::tier_of(std::size_t high_water_bytes) noexcept {
-  if (high_water_bytes <= 16 * 1024) return 0;
-  if (high_water_bytes <= 64 * 1024) return 1;
-  return 2;
+  // Stacks are carved, never individually unmapped.
+  for (const auto& [base, bytes] : slabs_) ::munmap(base, bytes);
 }
 
 StackAllocation StackPool::acquire() {
-  // Prefer the shallowest previously-used stack: its committed footprint is
-  // smallest, so a fresh fiber starting on it faults in the fewest pages.
-  for (auto& tier : tiers_) {
-    if (tier.empty()) continue;
-    const StackAllocation s = tier.back();
-    tier.pop_back();
-    ++reused_;
-    return s;
-  }
-  return carve();
+  if (free_.empty()) return carve();
+  const StackAllocation s = free_.back();
+  free_.pop_back();
+  ++reused_;
+  return s;
 }
 
 StackAllocation StackPool::carve() {
   const std::size_t page = page_size();
-  const std::size_t usable = (stack_bytes_ + page - 1) / page * page;
-  const std::size_t stride = usable + page;  // + gap/guard page below
+  const std::size_t usable = (kStackBytes + page - 1) / page * page;
+  const std::size_t stride = usable + page;  // + gap page below
 
   ++mapped_;
-  StackAllocation s;
-  s.size = stride;
-  s.slab = slabbed_;
-  if (!slabbed_) {
-    void* base = ::mmap(nullptr, stride, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    MANATEE_REQUIRE(base != MAP_FAILED,
-                    "fiber stack mmap failed — raise vm.max_map_count, lower "
-                    "SchedConfig::stack_bytes, or use MANATEE_SCHED=events "
-                    "(slab stacks) for very large worlds");
-    MANATEE_REQUIRE(::mprotect(base, page, PROT_NONE) == 0,
-                    "fiber stack guard-page mprotect failed");
-    s.base = base;
-    s.limit = static_cast<std::byte*>(base) + page;
-    s.top = static_cast<std::byte*>(base) + stride;
-    return s;
-  }
-
   if (carve_left_ == 0) {
     // One VMA per kSlabStacks stacks: MAP_NORESERVE so the untouched bulk
     // (gap pages, never-reached depths) costs neither commit charge nor
@@ -212,6 +171,7 @@ StackAllocation StackPool::carve() {
     carve_next_ = static_cast<std::byte*>(base);
     carve_left_ = kSlabStacks;
   }
+  StackAllocation s;
   s.base = carve_next_;
   s.limit = carve_next_ + page;
   s.top = carve_next_ + stride;
@@ -223,12 +183,21 @@ StackAllocation StackPool::carve() {
 void StackPool::release(StackAllocation stack, std::size_t high_water_bytes) {
   // The guard word is only readable once its page is committed; a stack
   // that never came within a page of its limit cannot have crossed it.
-  if (stack.slab && high_water_bytes + page_size() >= stack.usable()) {
+  // Checked before the decommit below, which would zero it.
+  if (high_water_bytes + page_size() >= stack.usable()) {
     MANATEE_REQUIRE(detail::stack_guard_intact(stack),
-                    "fiber stack overflow detected (slab guard word "
-                    "clobbered) — raise SchedConfig::stack_bytes");
+                    "fiber stack overflow detected (guard word clobbered) — "
+                    "raise sched::kStackBytes");
   }
-  tiers_[tier_of(high_water_bytes)].push_back(stack);
+  // Decommit the touched pages before pooling: otherwise the finish wave
+  // re-commits every fleet stack (each fiber's last dispatch restored its
+  // pages) and the job's peak RSS lands exactly there, at world-size ×
+  // page. The high-water mark is page-granular
+  // (FiberBackend::observe_stack_depth), so this releases whole pages.
+  auto* top = static_cast<std::byte*>(stack.top);
+  detail::decommit_stack_span(
+      top - std::min(high_water_bytes, stack.usable()), top);
+  free_.push_back(stack);
 }
 
 // ---- context switching ------------------------------------------------------
@@ -375,13 +344,11 @@ void* saved_stack_pointer(const ExecContext& ctx) noexcept {
 
 std::size_t stack_page_bytes() noexcept { return page_size(); }
 
-std::size_t decommit_stack_span(void* lo, void* hi) noexcept {
+void decommit_stack_span(void* lo, void* hi) noexcept {
   auto* begin = static_cast<std::byte*>(lo);
   auto* end = static_cast<std::byte*>(hi);
-  if (begin >= end) return 0;
-  const auto bytes = static_cast<std::size_t>(end - begin);
-  if (::madvise(begin, bytes, MADV_DONTNEED) != 0) return 0;
-  return bytes;
+  if (begin >= end) return;
+  (void)::madvise(begin, static_cast<std::size_t>(end - begin), MADV_DONTNEED);
 }
 
 bool stack_guard_intact(const StackAllocation& stack) noexcept {

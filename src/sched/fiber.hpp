@@ -8,25 +8,17 @@
 // ~20-instruction assembly routine (no sigprocmask syscall, unlike glibc's
 // swapcontext); other architectures fall back to ucontext.
 //
-// Stacks come in two flavours, chosen per pool:
-//
-//   * guarded (fibers backend): each stack is its own mmap with a PROT_NONE
-//     guard page below the usable range, so an overflow faults loudly.
-//     Costs 2 VMAs per stack — fine to ~16k ranks, fatal at 64k (the
-//     default vm.max_map_count is ~65530).
-//   * slabbed (events backend): stacks are carved out of large MAP_NORESERVE
-//     slabs, one VMA per ~64 stacks. Isolation is soft: an untouched gap
-//     page between neighbours (never committed unless overflowed into) and
-//     a guard word at `limit` that must stay zero, checked whenever the
-//     scheduler decommits or recycles the stack. This trades the hard
-//     guard-page fault for fitting 64k+ stacks under the VMA budget; the
-//     deliberate counterweight is that events-mode ranks park at the
-//     shallow top-level drive loop, so deep stacks are the exception.
-//
-// Finished fibers return their stacks to per-depth free tiers (bucketed by
-// the observed high-water mark) because lifecycle chains create runtimes —
-// and therefore fiber fleets — repeatedly, and reusing a shallow-committed
-// stack for a new fiber avoids re-faulting pages a deep predecessor touched.
+// Stacks are carved out of large MAP_NORESERVE slabs, one VMA per ~64
+// stacks. Isolation is soft: an untouched gap page between neighbours
+// (never committed unless overflowed into) and a guard word at `limit` that
+// must stay zero, checked whenever the scheduler vacates or recycles the
+// stack. A PROT_NONE guard page per stack would fault loudly instead, but
+// costs 2 VMAs per stack: 64k ranks would exceed the default
+// vm.max_map_count (~65530). The deliberate counterweight is that ranks
+// park at the shallow top-level drive loop, so deep stacks are the
+// exception. Finished fibers hand their stacks back decommitted to one free
+// list, so run-to-completion task sets carve O(workers) stacks, not
+// O(tasks).
 //
 // Sanitizer support: when built with ASan/TSan the switch is annotated with
 // __sanitizer_start/finish_switch_fiber and __tsan_switch_to_fiber so the
@@ -44,14 +36,17 @@
 
 namespace manatee::sched {
 
-/// One fiber stack: [gap/guard page][usable range). `top` is the highest
-/// usable address (stacks grow down).
+/// Usable bytes per fiber stack (a gap page is added below). Rank bodies
+/// keep bulk data on the heap, so this is deliberately small: at 16k+ ranks
+/// stacks are the dominant address-space cost.
+inline constexpr std::size_t kStackBytes = 256 * 1024;
+
+/// One fiber stack: [gap page][usable range). `top` is the highest usable
+/// address (stacks grow down).
 struct StackAllocation {
-  void* base = nullptr;   ///< start of the gap/guard page
-  std::size_t size = 0;   ///< total span including the gap/guard page
+  void* base = nullptr;   ///< start of the gap page
   void* limit = nullptr;  ///< lowest usable address (gap page end)
   void* top = nullptr;    ///< highest usable address
-  bool slab = false;      ///< carved from a slab (soft guard) vs own mmap
 
   [[nodiscard]] std::size_t usable() const noexcept {
     return static_cast<std::size_t>(static_cast<std::byte*>(top) -
@@ -59,13 +54,11 @@ struct StackAllocation {
   }
 };
 
-/// Stack allocator with depth-tiered free lists. Not thread-safe; the
-/// owning scheduler serializes access under its own mutex.
+/// Slab stack allocator with one free list. Not thread-safe; the owning
+/// scheduler serializes access under its own mutex.
 class StackPool {
  public:
-  /// `slabbed` selects the slab-carved soft-guard flavour (see file
-  /// comment); false keeps the one-mmap-per-stack guard-page flavour.
-  explicit StackPool(std::size_t stack_bytes, bool slabbed = false);
+  StackPool() = default;
   ~StackPool();
 
   StackPool(const StackPool&) = delete;
@@ -73,29 +66,22 @@ class StackPool {
 
   [[nodiscard]] StackAllocation acquire();
 
-  /// Return a stack. `high_water_bytes` — the deepest observed use, 0 when
-  /// unknown — buckets it into a reuse tier and, for slab stacks that
-  /// plausibly reached their bottom page, arms the guard-word overflow
-  /// check (reading the word any earlier would commit an untouched page).
+  /// Return a stack. `high_water_bytes` is the deepest observed use, 0 when
+  /// unknown. When the stack plausibly reached its bottom page, the
+  /// guard-word overflow check runs (reading the word any earlier would
+  /// commit an untouched page). The touched pages are then decommitted, so
+  /// pooled stacks hold no resident pages.
   void release(StackAllocation stack, std::size_t high_water_bytes = 0);
 
-  /// Stacks ever carved fresh (== acquire() calls that missed every tier).
+  /// Stacks ever carved fresh (== acquire() calls the free list missed).
   [[nodiscard]] std::uint64_t mapped() const noexcept { return mapped_; }
-  /// acquire() calls served from a free tier (the reuse counter).
+  /// acquire() calls served from the free list (the reuse counter).
   [[nodiscard]] std::uint64_t reused() const noexcept { return reused_; }
-  [[nodiscard]] bool slabbed() const noexcept { return slabbed_; }
 
  private:
-  static constexpr int kTierCount = 3;
-  /// Tier by observed depth: 0 = shallow (<=16 KiB), 1 = medium
-  /// (<=64 KiB), 2 = deep. acquire() prefers shallow.
-  [[nodiscard]] static int tier_of(std::size_t high_water_bytes) noexcept;
-
   [[nodiscard]] StackAllocation carve();
 
-  std::size_t stack_bytes_;
-  bool slabbed_;
-  std::vector<StackAllocation> tiers_[kTierCount];
+  std::vector<StackAllocation> free_;
   std::vector<std::pair<void*, std::size_t>> slabs_;  ///< mmap base, bytes
   std::byte* carve_next_ = nullptr;  ///< next un-carved stack in the slab
   std::size_t carve_left_ = 0;       ///< stacks remaining in the open slab
@@ -130,7 +116,6 @@ struct Fiber {
   /// label slot here while the fiber runs (see common/log.hpp).
   std::string log_label = "-";
   bool started = false;  ///< stack allocated lazily at first dispatch
-  bool finished = false;
 
   // Scheduler bookkeeping, guarded by the owning backend's mutex.
   /// Bumped on every prepare_park; deadline-heap entries snapshot it so a
@@ -141,11 +126,11 @@ struct Fiber {
   /// kNotified. Deadline-heap entries are valid only while this is set.
   Waiter* active_waiter = nullptr;
   /// Lowest stack address estimated committed (observed sp minima, raised
-  /// again by decommits). Drives the high-water stats and the events-mode
-  /// page decommit of dead frames.
+  /// again by vacating). Drives the committed-stack estimate behind the
+  /// vacate budget and the decommit of a finished fiber's stack.
   std::byte* committed_floor = nullptr;
 
-  // Events-mode stack vacating (FiberBackend::observe_stack_depth): while
+  // Stack vacating (FiberBackend::observe_stack_depth): while
   // the fiber is parked its live span [vacated_lo, stack.top) sits in this
   // heap buffer and every stack page is decommitted — a parked rank costs
   // O(live frame) heap bytes, not a page. dispatch() copies the span back
@@ -194,12 +179,12 @@ void destroy_fiber_context(Fiber* fiber);
 /// The system page size (cached).
 [[nodiscard]] std::size_t stack_page_bytes() noexcept;
 
-/// Decommit [lo, hi) of a suspended stack (MADV_DONTNEED): the span reads
-/// as zero afterwards and its physical pages are returned to the kernel.
-/// Returns the bytes decommitted (0 when the span is empty or the kernel
-/// refused). Callers must only pass spans strictly below the suspended
-/// frame's red zone.
-std::size_t decommit_stack_span(void* lo, void* hi) noexcept;
+/// Decommit [lo, hi) of a suspended or finished stack (MADV_DONTNEED): the
+/// span reads as zero afterwards and its physical pages are returned to the
+/// kernel. Best effort, like decommit_stack_spans. Callers must only pass
+/// spans whose bytes are dead or saved elsewhere (a vacated fiber's heap
+/// copy).
+void decommit_stack_span(void* lo, void* hi) noexcept;
 
 /// A [lo, hi) stack span queued for batched decommit.
 struct StackSpan {
@@ -210,11 +195,11 @@ struct StackSpan {
 /// Decommit many suspended-stack spans, in ONE process_madvise syscall when
 /// the kernel supports it (self-pidfd), per-span madvise otherwise. Best
 /// effort: decommit is purely an RSS optimization — vacated spans are
-/// restored from their heap copy regardless, and dead spans are dead.
+/// restored from their heap copy regardless.
 void decommit_stack_spans(const StackSpan* spans, std::size_t count) noexcept;
 
-/// Slab-stack overflow check: the guard word at `stack.limit` must still
-/// read zero. Only meaningful once the page is committed (caller gates on
+/// Stack overflow check: the guard word at `stack.limit` must still read
+/// zero. Only meaningful once the page is committed (caller gates on
 /// the observed high-water reaching the bottom page).
 [[nodiscard]] bool stack_guard_intact(const StackAllocation& stack) noexcept;
 

@@ -1,8 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -29,8 +27,8 @@ constexpr std::size_t kNotifyChunk = 16;
 
 /// Largest live span stack vacating will copy out on park. Shallow parks at
 /// the top-level drive loop are ~2 KiB; a frame deeper than this keeps its
-/// pages resident and takes the partial-decommit path instead (copying tens
-/// of KiB on every park would cost more than the pages it frees).
+/// pages resident (copying tens of KiB on every park would cost more than
+/// the pages it frees).
 constexpr std::size_t kVacateMaxLiveBytes = 32 * 1024;
 
 /// Deferred vacate decommits per process_madvise flush.
@@ -38,64 +36,18 @@ constexpr std::size_t kVacateBatch = 256;
 
 }  // namespace
 
-// ---- backend selection ------------------------------------------------------
-
 const char* backend_name(Backend backend) noexcept {
   switch (backend) {
     case Backend::kThreads:
       return "threads";
-    case Backend::kFibers:
-      return "fibers";
     case Backend::kEvents:
       return "events";
   }
   return "?";
 }
 
-Backend parse_backend(const std::string& name) {
-  if (name == "threads") return Backend::kThreads;
-  if (name == "fibers") return Backend::kFibers;
-  if (name == "events") return Backend::kEvents;
-  throw UsageError("unknown scheduler backend '" + name +
-                   "' (expected threads|fibers|events)");
-}
-
-Backend default_backend() {
-  // Memoized; a throwing first call leaves the static unconstructed, so a
-  // later call re-reads the (unchanged) environment and throws again —
-  // misconfiguration stays loud for every job of the process.
-  static const Backend selected = [] {
-    const char* env = std::getenv("MANATEE_SCHED");
-    if (env == nullptr || *env == '\0') return Backend::kThreads;
-    return parse_backend(env);
-  }();
-  return selected;
-}
-
-std::size_t default_stack_budget() {
-  static const std::size_t selected = [] {
-    const char* env = std::getenv("MANATEE_STACK_BUDGET_MB");
-    if (env == nullptr || *env == '\0') return std::size_t{40} << 20;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || errno != 0 ||
-        mb > (std::size_t{1} << 30)) {
-      throw UsageError(std::string("invalid MANATEE_STACK_BUDGET_MB '") + env +
-                       "' (expected a whole number of MiB)");
-    }
-    return static_cast<std::size_t>(mb) << 20;
-  }();
-  return selected;
-}
-
 Fiber* current_fiber() noexcept {
   return t_worker != nullptr ? t_worker->current : nullptr;
-}
-
-bool events_backend_active() noexcept {
-  return t_worker != nullptr && t_worker->current != nullptr &&
-         t_worker->backend->events();
 }
 
 void count_stackless_park() noexcept {
@@ -136,8 +88,6 @@ SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task) {
     stats.workers = n;
     return stats;
   }
-  // kFibers and kEvents share the FiberBackend; events is the same engine
-  // with the continuation drive loop and slab stacks switched on.
   FiberBackend backend(config, n, task);
   return backend.run();
 }
@@ -145,10 +95,7 @@ SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task) {
 // ---- FiberBackend -----------------------------------------------------------
 
 FiberBackend::FiberBackend(const SchedConfig& config, int n, const TaskFn& task)
-    : config_(config),
-      events_(config.backend == Backend::kEvents),
-      stacks_(config.stack_bytes,
-              /*slabbed=*/config.backend == Backend::kEvents) {
+    : config_(config) {
   MANATEE_REQUIRE(n >= 0, "task count must be non-negative");
   int workers = config.workers;
   if (workers <= 0) {
@@ -245,8 +192,8 @@ void FiberBackend::worker_loop(Worker& worker) {
       } else {
         // Stackless continuation: runs to completion right here on the
         // worker's own stack, no fiber switch, no scheduler lock. This is
-        // the events-mode hot path — one queued wake progresses a rank's
-        // collective without touching its (possibly decommitted) stack.
+        // the hot path — one queued wake progresses a rank's collective
+        // without touching its (possibly decommitted) stack.
         item.fn(item.arg, item.epoch);
       }
       continue;
@@ -454,9 +401,9 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
     note_committed_growth(grew);
   }
 
-  if (!events_ || !parked) return;
+  if (!parked) return;
 
-  // Events-mode stack diet, strongest form first: vacate the whole stack.
+  // Stack diet: vacate the whole stack.
   // The live span [sp−128, top) — saved registers, the park frame, the
   // red zone — is copied into a heap buffer on the Fiber and every stack
   // page goes back to the kernel; dispatch() memcpys the bytes back to the
@@ -467,8 +414,8 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
   // result buffers, and op state are all off-stack, so nothing touches the
   // stack until re-dispatch — a concurrent write would be clobbered by the
   // restore). Also skipped under sanitizers (stack shadow state) and for
-  // deep frames where the copy would outweigh the pages — all those cases
-  // fall back to the partial decommit below.
+  // deep frames where the copy would outweigh the pages — those parks keep
+  // their pages.
   // Adaptive gate: vacating trades wall time (copy out, refault on resume)
   // for resident pages, so only do it while the fleet's committed stacks
   // actually exceed the budget. Below it the pages are cheap and the park
@@ -481,10 +428,10 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
        committed_bytes_.load(std::memory_order_relaxed) >
            config_.stack_budget_bytes) &&
       static_cast<std::size_t>(top - live_lo) <= kVacateMaxLiveBytes) {
-    if (fiber->stack.slab && fiber->committed_floor < limit + page) {
+    if (fiber->committed_floor < limit + page) {
       MANATEE_REQUIRE(detail::stack_guard_intact(fiber->stack),
-                      "fiber stack overflow detected (slab guard word "
-                      "clobbered) — raise SchedConfig::stack_bytes");
+                      "fiber stack overflow detected (guard word "
+                      "clobbered) — raise sched::kStackBytes");
     }
     // Zap only the span that can actually be resident — from the lowest
     // page this fiber ever touched (committed_floor tracks observed sp
@@ -519,34 +466,6 @@ void FiberBackend::observe_stack_depth(Worker& worker) {
       // Cross-worker re-dispatch makes deferral racy; decommit eagerly.
       detail::decommit_stack_span(zap_lo, top);
     }
-    return;
-  }
-
-  // Fallback: release whole pages strictly below the live frame (128-byte
-  // red zone kept). A rank that made one deep excursion — a stackful
-  // fallback drive, a checkpoint serialization — then parks at its shallow
-  // top-level loop again stops holding the excursion's pages for the rest
-  // of the run.
-  std::byte* dead_hi = page_floor(sp - 128);
-  std::byte* dead_lo = page_floor(fiber->committed_floor);
-  if (dead_lo < limit) dead_lo = limit;  // gap/guard page stays untouched
-  if (dead_hi <= dead_lo ||
-      static_cast<std::size_t>(dead_hi - dead_lo) < 4 * page) {
-    return;  // not worth a syscall
-  }
-  if (fiber->stack.slab && fiber->committed_floor < limit + page) {
-    // The stack reached its bottom page: the guard word is committed and
-    // readable — check it before recycling those pages.
-    MANATEE_REQUIRE(detail::stack_guard_intact(fiber->stack),
-                    "fiber stack overflow detected (slab guard word "
-                    "clobbered) — raise SchedConfig::stack_bytes");
-  }
-  if (detail::decommit_stack_span(dead_lo, dead_hi) == 0) return;
-  if (dead_hi > fiber->committed_floor) {
-    committed_bytes_.fetch_sub(
-        static_cast<std::uint64_t>(dead_hi - fiber->committed_floor),
-        std::memory_order_relaxed);
-    fiber->committed_floor = dead_hi;
   }
 }
 
@@ -571,23 +490,9 @@ void FiberBackend::process_pending_locked(Worker& worker) {
     if (fiber->committed_floor != nullptr) {
       high_water = static_cast<std::size_t>(
           static_cast<std::byte*>(fiber->stack.top) - fiber->committed_floor);
-      // The pooled stack's pages may stay resident, but accounting them
-      // against the *live* estimate would double-count on reuse (the next
-      // fiber re-observes its own depth from scratch).
+      // The pool decommits these pages (StackPool::release), and the next
+      // fiber on this stack re-observes its own depth from scratch.
       committed_bytes_.fetch_sub(high_water, std::memory_order_relaxed);
-    }
-    if (events_ && fiber->stack.base != nullptr && high_water > 0) {
-      // Hand the released stack's touched pages back to the kernel before
-      // pooling it. Without this, the finish wave re-commits every fleet
-      // stack (each fiber's last dispatch restored its pages) and the
-      // job's peak RSS lands exactly there, at world-size × page.
-      const std::size_t page = detail::stack_page_bytes();
-      auto floor_addr = reinterpret_cast<std::uintptr_t>(
-                            fiber->committed_floor) / page * page;
-      auto* lo = reinterpret_cast<std::byte*>(floor_addr);
-      auto* lim = static_cast<std::byte*>(fiber->stack.limit);
-      if (lo < lim) lo = lim;
-      detail::decommit_stack_span(lo, fiber->stack.top);
     }
     fiber->vacated_span = {};  // release the heap copy with the stack
     stacks_.release(fiber->stack, high_water);
@@ -739,7 +644,6 @@ void FiberBackend::fiber_main(Fiber* fiber) {
                             << " leaked an exception; terminating");
     std::terminate();
   }
-  fiber->finished = true;
   Worker* worker = t_worker;
   worker->pending_done = fiber;
   detail::switch_context_final(&fiber->ctx, &worker->ctx);

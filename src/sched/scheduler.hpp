@@ -1,35 +1,26 @@
-// scheduler.hpp — the rank scheduler: run N rank tasks under one of three
+// scheduler.hpp — the rank scheduler: run N rank tasks under one of two
 // backends.
 //
-//   * ThreadBackend — one OS thread per rank (the historical model, and
-//     still the default): simple, preemptive, but futex-bound once rank
-//     ping-pong dominates and capped at a few thousand ranks per process.
-//   * FiberBackend — N stackful fibers multiplexed onto a worker pool
-//     sized to hardware concurrency. Ranks block cooperatively through
-//     sched::Waiter (waiter.hpp): a park suspends the fiber in user space
-//     and the delivery that satisfies its declared interest re-enqueues
-//     exactly that fiber. On the 1-CPU figure box this turns every
-//     rank-to-rank hop from a ~2.5 µs futex round trip into a ~100 ns
-//     context switch, which is what lets 1k–16k-rank worlds run at all.
-//   * Events mode (kEvents) — the FiberBackend with the hybrid
-//     event-driven drive loop switched on (DESIGN.md §12): collectives are
-//     progressed by continuations that run directly on the worker stack
-//     (sched::Waiter in continuation mode), the rank fiber parks once per
-//     collective at its shallow top-level frame, and stacks live in
-//     MAP_NORESERVE slabs with dead pages decommitted at park. A parked
-//     rank then costs O(bytes of its wait record), not a guard-paged
-//     256 KiB stack — the difference between 16k and 64k+ ranks fitting in
-//     one process.
+//   * Events (kEvents, the default) — the FiberBackend: N stackful fibers
+//     multiplexed onto a worker pool sized to hardware concurrency, with
+//     the hybrid event-driven drive loop (DESIGN.md §12). Ranks block
+//     cooperatively through sched::Waiter (waiter.hpp): a park suspends the
+//     fiber in user space and the delivery that satisfies its declared
+//     interest re-enqueues exactly that fiber. Collectives are progressed by
+//     continuations that run directly on the worker stack, the rank fiber
+//     parks once per collective at its shallow top-level frame, and stacks
+//     live in MAP_NORESERVE slabs that are vacated to the heap while the
+//     fleet is over its committed-stack budget. A parked rank then costs
+//     O(bytes of its wait record) — what lets 64k+ ranks fit in one process.
+//   * Threads (kThreads) — one OS thread per rank, preemptive, parking on a
+//     condition variable. It shares no scheduling code with the fibers,
+//     which is why it stays: it is the independent oracle the cross-backend
+//     equivalence suite (tests/sched) checks the events backend against.
 //
-// Selection is per job via SchedConfig (RuntimeConfig::sched); the
-// MANATEE_SCHED environment variable ("threads" | "fibers" | "events")
-// overrides the built-in default so whole suites (e.g. the nightly
-// lifecycle soak) can be flipped wholesale — anything else is a loud
-// UsageError, never a silent threads fallback. Semantics are
+// Selection is per job via SchedConfig (RuntimeConfig::sched). Semantics are
 // backend-independent by construction — virtual-time merges happen at
-// observation points only (DESIGN.md §8) — and the cross-backend
-// equivalence suite (tests/sched) holds all three backends to bit-identical
-// results.
+// observation points only (DESIGN.md §8) — and the equivalence suite holds
+// threads and events, at one worker and at four, to bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -41,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -50,40 +40,21 @@
 
 namespace manatee::sched {
 
-enum class Backend { kThreads, kFibers, kEvents };
+enum class Backend { kThreads, kEvents };
 
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
-/// Parse "threads" / "fibers" / "events" (throws UsageError on anything
-/// else).
-[[nodiscard]] Backend parse_backend(const std::string& name);
-
-/// Process default: MANATEE_SCHED when set, else kThreads. Throws
-/// UsageError when MANATEE_SCHED names an unknown backend — a suite run
-/// with a typo'd backend must fail, not silently measure threads.
-[[nodiscard]] Backend default_backend();
-
-/// Process default for SchedConfig::stack_budget_bytes: 40 MiB, overridden
-/// by MANATEE_STACK_BUDGET_MB (whole mebibytes; 0 = always vacate). Throws
-/// UsageError on a malformed value — a suite run with a typo'd budget must
-/// fail, not silently measure the default.
-[[nodiscard]] std::size_t default_stack_budget();
-
 struct SchedConfig {
-  Backend backend = default_backend();
+  Backend backend = Backend::kEvents;
   /// FiberBackend worker threads; 0 = min(hardware_concurrency, tasks).
   int workers = 0;
-  /// Usable bytes per fiber stack (a guard/gap page is added on top). Rank
-  /// bodies keep bulk data on the heap, so the default is deliberately
-  /// small: at 16k+ ranks stacks are the dominant address-space cost.
-  std::size_t stack_bytes = 256 * 1024;
-  /// Events mode: the committed fiber-stack budget. Parked stacks are
-  /// vacated to the heap only while the fleet's committed estimate exceeds
-  /// this, so small worlds never pay the copy + refault tax and large
-  /// worlds self-regulate committed stack bytes down to about the budget
-  /// (the vacate rate tracks the recommit rate). 0 = vacate every eligible
-  /// park unconditionally (strictest diet, highest per-park cost).
-  std::size_t stack_budget_bytes = default_stack_budget();
+  /// The committed fiber-stack budget. Parked stacks are vacated to the
+  /// heap only while the fleet's committed estimate exceeds this, so small
+  /// worlds never pay the copy + refault tax and large worlds self-regulate
+  /// committed stack bytes down to about the budget (the vacate rate tracks
+  /// the recommit rate). 0 = vacate every eligible park unconditionally
+  /// (strictest diet, highest per-park cost).
+  std::size_t stack_budget_bytes = std::size_t{40} << 20;
 };
 
 /// Counters reported by a FiberBackend run (all zero under threads except
@@ -91,16 +62,16 @@ struct SchedConfig {
 struct SchedStats {
   int workers = 0;
   std::uint64_t stacks_mapped = 0;   ///< stacks carved fresh
-  std::uint64_t stacks_reused = 0;   ///< stacks served from the free tiers
+  std::uint64_t stacks_reused = 0;   ///< stacks served from the free list
   std::uint64_t dispatches = 0;      ///< fiber activations (worker→fiber)
   /// Peak estimated committed fiber-stack bytes (observed sp high-water
-  /// minus decommits). The per-rank memory-diet headline number: events
-  /// mode must beat fibers here at large worlds.
+  /// minus decommits). The per-rank memory-diet headline number; the
+  /// stack budget caps it at large worlds.
   std::uint64_t peak_committed = 0;
-  std::uint64_t stackless_parks = 0;  ///< events: continuation-armed waits
-  std::uint64_t fiber_fallbacks = 0;  ///< events: stackful drive fallbacks
-  /// Events: parks whose whole stack was vacated to the heap (the parked
-  /// rank held zero committed stack pages until re-dispatch).
+  std::uint64_t stackless_parks = 0;  ///< continuation-armed waits
+  std::uint64_t fiber_fallbacks = 0;  ///< stackful drive fallbacks
+  /// Parks whose whole stack was vacated to the heap (the parked rank held
+  /// zero committed stack pages until re-dispatch).
   std::uint64_t stack_vacations = 0;
 };
 
@@ -113,14 +84,12 @@ using TaskFn = std::function<void(int)>;
 SchedStats run_tasks(const SchedConfig& config, int n, const TaskFn& task);
 
 /// The fiber hosting the calling context, or nullptr on a plain thread.
+/// Non-null is the gate for the stackless drive loop
+/// (umpi::Rank::drive_coll).
 [[nodiscard]] Fiber* current_fiber() noexcept;
 
-/// True when the calling context is a fiber of an events-mode scheduler —
-/// the gate for the stackless drive loop (umpi::Rank::drive_coll).
-[[nodiscard]] bool events_backend_active() noexcept;
-
-/// Events-mode telemetry: a collective wait served stacklessly / a wait
-/// that had to fall back to the stackful fiber path. No-ops elsewhere.
+/// Telemetry: a collective wait served stacklessly / a wait that had to
+/// fall back to the stackful fiber path. No-ops off the fibers.
 void count_stackless_park() noexcept;
 void count_fiber_fallback() noexcept;
 
@@ -130,9 +99,7 @@ void count_fiber_fallback() noexcept;
 /// livelock guard); on a thread, std::this_thread::yield().
 void yield();
 
-/// The FiberBackend (also the events backend — kEvents is this class with
-/// `events()` true). Normally driven through run_tasks; exposed so the
-/// scheduler unit tests can exercise park/unpark directly.
+/// The events backend. Normally driven through run_tasks.
 class FiberBackend {
  public:
   FiberBackend(const SchedConfig& config, int n, const TaskFn& task);
@@ -143,8 +110,6 @@ class FiberBackend {
 
   /// Run all fibers to completion. The calling thread doubles as worker 0.
   SchedStats run();
-
-  [[nodiscard]] bool events() const noexcept { return events_; }
 
   void note_stackless_park() noexcept {
     stackless_parks_.fetch_add(1, std::memory_order_relaxed);
@@ -166,7 +131,7 @@ class FiberBackend {
     Waiter* pending_park = nullptr;
     Fiber* pending_yield = nullptr;
     Fiber* pending_done = nullptr;
-    /// Single-worker events mode: vacated stacks whose decommit is deferred
+    /// Single worker: vacated stacks whose decommit is deferred
     /// into one batched process_madvise. An entry is cancelled when its
     /// fiber re-dispatches before the flush — a short park then costs two
     /// memcpys and no syscall or page refault at all. Every listed fiber is
@@ -202,7 +167,7 @@ class FiberBackend {
   /// One ready-queue shard (per worker, stealable). Its mutex sits BELOW
   /// the backend mutex (lock level 35 < 40 in scripts/lock_order.json) so
   /// wake paths that already hold mutex_ can push; continuation enqueues
-  /// touch only this lock — the events-mode fast path never takes mutex_.
+  /// touch only this lock — the continuation fast path never takes mutex_.
   struct alignas(64) ReadyShard {
     common::Mutex mutex;  // lock level 35: leaf below the scheduler mutex
     std::deque<ReadyItem> items MANATEE_GUARDED_BY(mutex);
@@ -222,8 +187,8 @@ class FiberBackend {
   void worker_loop(Worker& worker);
   void run_fiber(Worker& worker, Fiber* fiber);
   void dispatch(Worker& worker, Fiber* fiber);
-  /// Record the suspended fiber's stack depth and, in events mode, hand
-  /// dead pages below a parked frame back to the kernel. Runs in the safe
+  /// Record the suspended fiber's stack depth and, while the fleet is over
+  /// its stack budget, vacate a parked fiber's stack. Runs in the safe
   /// window after dispatch() returned and before the park is published
   /// (process_pending_locked) — the fiber cannot be re-dispatched yet.
   void observe_stack_depth(Worker& worker);
@@ -272,7 +237,6 @@ class FiberBackend {
   [[noreturn]] void fiber_main(Fiber* fiber);
 
   SchedConfig config_;
-  bool events_ = false;
   int workers_ = 1;
   // Lock level 40 in scripts/lock_order.json: acquired below the store's
   // interest mutex (park/notify arrive with the store lock held), above

@@ -24,7 +24,7 @@ simnet::SimTime pfs_time(std::uint64_t bytes, int world_size, double lustre_gbps
 }
 
 /// MANATEE_SWITCH_DRAIN=quiesce flips the switch-drain strategy suite-wide
-/// (mirrors MANATEE_SCHED / MANATEE_COLL); an explicit config choice wins.
+/// (mirrors MANATEE_COLL); an explicit config choice wins.
 ckpt::SwitchDrainMode resolved_switch_drain(const EngineConfig& config) {
   if (config.switch_drain != ckpt::SwitchDrainMode::kCutThrough) {
     return config.switch_drain;
@@ -174,7 +174,6 @@ RunReport Engine::execute(const WrappedApp& app, bool restoring) {
   std::vector<std::uint64_t> coll_calls(
       static_cast<std::size_t>(runtime_.world_size()), 0);
   std::vector<std::uint64_t> p2p_calls(coll_calls.size(), 0);
-  std::vector<char> stopped(coll_calls.size(), 0);
 
   runtime_.run([&](umpi::Rank& rank) {
     auto& ctx = *ctxs_[static_cast<std::size_t>(rank.world_rank())];
@@ -191,7 +190,6 @@ RunReport Engine::execute(const WrappedApp& app, bool restoring) {
     api.finalize(early);
     coll_calls[static_cast<std::size_t>(rank.world_rank())] = api.collective_calls();
     p2p_calls[static_cast<std::size_t>(rank.world_rank())] = api.p2p_calls();
-    stopped[static_cast<std::size_t>(rank.world_rank())] = early ? 1 : 0;
   });
 
   // Barrier the write-back pipeline: every submitted image must be on disk
@@ -204,8 +202,12 @@ RunReport Engine::execute(const WrappedApp& app, bool restoring) {
   for (auto c : coll_calls) report.wrapper_collective_calls += c;
   for (auto c : p2p_calls) report.wrapper_p2p_calls += c;
   report.checkpoints = coordinator_.completed_cycles();
+  // The simulated crash lands right after the first completed checkpoint,
+  // even when every rank had already reached finalize by then: where the
+  // cut lands depends on the wall-clock schedule, whether the job stops
+  // must not.
   report.stopped_after_checkpoint =
-      std::any_of(stopped.begin(), stopped.end(), [](char s) { return s != 0; });
+      config_.stop_after_checkpoint && report.checkpoints > 0;
   report.ckpt_protocol_messages =
       runtime_.fabric().counters(simnet::TrafficClass::kCkptProtocol).messages;
   report.collective_messages =

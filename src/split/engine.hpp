@@ -47,7 +47,9 @@ struct EngineConfig {
   FailureSchedule failures;
 
   /// End the job right after the first completed checkpoint (the chained
-  /// resource-allocation pattern).
+  /// resource-allocation pattern), even when every rank had already reached
+  /// finalize: the run then reports stopped_after_checkpoint and is resumed
+  /// by restart().
   bool stop_after_checkpoint = false;
 
   /// 0: flat image layout (one image set, overwritten each cycle).
@@ -101,6 +103,7 @@ struct RunReport {
   std::uint64_t written_bytes_total = 0;
   /// restart(): virtual time until every rank finished replay.
   simnet::SimTime restart_duration = 0;
+  /// stop_after_checkpoint was set and a checkpoint completed.
   bool stopped_after_checkpoint = false;
   /// restart() in generational mode: the generation the run restored from
   /// (0 for flat-layout restores).

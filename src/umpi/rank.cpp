@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
 
@@ -405,14 +404,12 @@ void Rank::drive(common::FunctionRef<bool()> done) {
 // ---- blocking collectives ------------------------------------------------------
 
 void Rank::drive_coll(NbcOp& op, bool stack_quiescent) {
-  static const bool disable_targeted =
-      std::getenv("MANATEE_NO_TARGETED_COLL") != nullptr;
-  if (disable_targeted || has_nbc_requests()) {
+  if (has_nbc_requests()) {
     // Other collectives may need progressing: fall back to wake-on-anything.
     drive([&] { return op.try_progress(*this); });
     return;
   }
-  if (sched::events_backend_active()) {
+  if (sched::current_fiber() != nullptr) {
     drive_coll_events(op, stack_quiescent);
     return;
   }
@@ -571,7 +568,7 @@ void Rank::run_coll(const CommPtr& comm, coll::CollKind kind,
   // count/displacement spans are not staged, so those collectives run
   // correct-but-unvacated. recv is copied in BOTH directions: in, because
   // bcast and the in-place reductions read it; out, to deliver the result.
-  const bool bounce = sched::events_backend_active() &&
+  const bool bounce = sched::current_fiber() != nullptr &&
                       args.send_counts.empty() && args.send_displs.empty() &&
                       args.recv_counts.empty() && args.recv_displs.empty();
   if (bounce) {

@@ -11,11 +11,10 @@ namespace manatee::umpi {
 
 namespace {
 
-/// MANATEE_COLL flips the collective stack suite-wide, mirroring
-/// MANATEE_SCHED: "switch" forces the in-switch barrier/bcast (and turns
-/// the capability on in the topology), "hier" forces the hierarchical
-/// algorithms. Explicitly forced entries in the config always win — the
-/// env preset only fills an untouched tuning.
+/// MANATEE_COLL flips the collective stack suite-wide: "switch" forces the
+/// in-switch barrier/bcast (and turns the capability on in the topology),
+/// "hier" forces the hierarchical algorithms. Explicitly forced entries in
+/// the config always win — the env preset only fills an untouched tuning.
 RuntimeConfig with_env_presets(RuntimeConfig config) {
   const char* preset = std::getenv("MANATEE_COLL");
   if (preset == nullptr || *preset == '\0') return config;

@@ -63,9 +63,8 @@ struct Scenario {
   split::Protocol protocol = split::Protocol::kCC;
   /// Collective-algorithm override (empty strings = heuristic selection).
   umpi::coll::CollTuning coll{};
-  /// Rank scheduling backend (threads vs fibers; defaults honor
-  /// MANATEE_SCHED so whole suites can be flipped wholesale). Applied to
-  /// the golden run and every lifecycle segment alike.
+  /// Rank scheduler (events by default; tests/sched runs threads as the
+  /// oracle). Applied to the golden run and every lifecycle segment alike.
   sched::SchedConfig sched{};
   /// Whole-lifecycle failure schedule (see failure_schedule.hpp).
   split::FailureSchedule failures{};

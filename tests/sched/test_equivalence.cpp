@@ -1,6 +1,11 @@
 // Cross-backend equivalence: the scheduler is purely an execution-engine
-// choice, so threads, fibers, and the hybrid event-driven backend must
-// produce identical results.
+// choice, so the events backend must produce the same results as threads.
+// Threads is the oracle: preemptive OS threads with CV parks share no
+// scheduling code with the fibers, so agreement is independent evidence.
+// Events runs at one worker (vacated stacks decommit in deferred
+// process_madvise batches, cancelled on an early re-dispatch) and at four
+// (eager decommit), each at the default stack budget and at budget 0,
+// where every eligible park vacates its stack.
 //
 // What "identical" can mean depends on the run shape:
 //
@@ -21,6 +26,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "sched/fiber.hpp"
 #include "simnet/mailbox.hpp"
 #include "split/engine.hpp"
 
@@ -32,19 +38,57 @@ using split::EngineConfig;
 using split::Protocol;
 using split::RunReport;
 
+/// One scheduler configuration under test.
+struct SchedRow {
+  std::string name;
+  sched::SchedConfig config;
+};
+
+SchedRow threads_row() {
+  SchedRow row{"threads", {}};
+  row.config.backend = sched::Backend::kThreads;
+  return row;
+}
+
+std::vector<SchedRow> events_rows() {
+  std::vector<SchedRow> rows;
+  for (const int workers : {1, 4}) {
+    for (const bool vacate_every_park : {false, true}) {
+      SchedRow row{"events_w" + std::to_string(workers) +
+                       (vacate_every_park ? "_vacate" : ""),
+                   {}};
+      row.config.workers = workers;
+      if (vacate_every_park) row.config.stack_budget_bytes = 0;
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+/// The stack budget decides whether parks vacate: 16 ranks never come near
+/// the default budget, and budget 0 vacates every eligible park (when the
+/// build supports vacating at all).
+void expect_vacations_follow_budget(const SchedRow& row,
+                                    const RunReport& report) {
+  if (row.config.stack_budget_bytes != 0) {
+    EXPECT_EQ(report.sched.stack_vacations, 0u);
+  } else if (sched::detail::stack_vacate_supported()) {
+    EXPECT_GT(report.sched.stack_vacations, 0u);
+  }
+}
+
 struct BackendRun {
   RunReport report;
   std::vector<std::uint64_t> fingerprints;
 };
 
-BackendRun run_once(sched::Backend backend, Protocol protocol, int world,
+BackendRun run_once(const SchedRow& row, Protocol protocol, int world,
                     std::vector<std::uint64_t> triggers,
                     const std::string& tag) {
   simnet::MessageStore::set_wait_timeout_ms(20'000);
   EngineConfig config = make_engine_config(
-      protocol, world, fresh_dir(tag + "_" + sched::backend_name(backend)),
-      std::move(triggers));
-  config.runtime.sched.backend = backend;
+      protocol, world, fresh_dir(tag + "_" + row.name), std::move(triggers));
+  config.runtime.sched = row.config;
   Engine engine(config);
   BackendRun out;
   out.fingerprints.resize(static_cast<std::size_t>(world));
@@ -77,14 +121,13 @@ TEST_P(EquivalenceWorlds, FailureFreeRunReportsAreBitIdentical) {
     SCOPED_TRACE(split::protocol_name(protocol));
     const std::string tag = "sched_eq_w" + std::to_string(world) + "_" +
                             split::protocol_name(protocol);
-    const BackendRun threads =
-        run_once(sched::Backend::kThreads, protocol, world, {}, tag);
-    for (const auto backend :
-         {sched::Backend::kFibers, sched::Backend::kEvents}) {
-      SCOPED_TRACE(sched::backend_name(backend));
-      const BackendRun other = run_once(backend, protocol, world, {}, tag);
+    const BackendRun threads = run_once(threads_row(), protocol, world, {}, tag);
+    for (const SchedRow& row : events_rows()) {
+      SCOPED_TRACE(row.name);
+      const BackendRun other = run_once(row, protocol, world, {}, tag);
       expect_full_report_eq(threads.report, other.report);
       EXPECT_EQ(threads.fingerprints, other.fingerprints);
+      expect_vacations_follow_budget(row, other.report);
     }
   }
 }
@@ -96,11 +139,10 @@ TEST_P(EquivalenceWorlds, CheckpointRunsAgreeOnScheduleIndependentFields) {
     const std::string tag = "sched_eq_ck_w" + std::to_string(world) + "_" +
                             split::protocol_name(protocol);
     const BackendRun threads =
-        run_once(sched::Backend::kThreads, protocol, world, {3, 9}, tag);
-    for (const auto backend :
-         {sched::Backend::kFibers, sched::Backend::kEvents}) {
-      SCOPED_TRACE(sched::backend_name(backend));
-      const BackendRun other = run_once(backend, protocol, world, {3, 9}, tag);
+        run_once(threads_row(), protocol, world, {3, 9}, tag);
+    for (const SchedRow& row : events_rows()) {
+      SCOPED_TRACE(row.name);
+      const BackendRun other = run_once(row, protocol, world, {3, 9}, tag);
       EXPECT_EQ(threads.fingerprints, other.fingerprints);
       EXPECT_EQ(threads.report.checkpoints, other.report.checkpoints);
       EXPECT_EQ(threads.report.wrapper_collective_calls,
@@ -117,28 +159,28 @@ INSTANTIATE_TEST_SUITE_P(Worlds, EquivalenceWorlds,
 class LifecycleEquivalenceWorlds : public ::testing::TestWithParam<int> {};
 
 TEST_P(LifecycleEquivalenceWorlds, CrashRestartChainsMatchAcrossBackends) {
-  // Full lifecycle storms (checkpoint → crash → restore → …) under both
-  // backends: each chain must round-trip against its own golden run (the
+  // Full lifecycle storms (checkpoint → crash → restore → …) under every
+  // row: each chain must round-trip against its own golden run (the
   // harness asserts that), and the final state plus the deterministic
-  // lifecycle shape must agree across backends.
+  // lifecycle shape must agree with the threads oracle.
   const int world = GetParam();
-  ScenarioOutcome outcomes[3];
-  int i = 0;
-  for (const auto backend :
-       {sched::Backend::kThreads, sched::Backend::kFibers,
-        sched::Backend::kEvents}) {
+  std::vector<SchedRow> rows = events_rows();
+  rows.insert(rows.begin(), threads_row());
+  std::vector<ScenarioOutcome> outcomes;
+  for (const SchedRow& row : rows) {
     Scenario scenario;
-    scenario.tag = "sched_eq_life_w" + std::to_string(world) + "_" +
-                   sched::backend_name(backend);
+    scenario.tag =
+        "sched_eq_life_w" + std::to_string(world) + "_" + row.name;
     scenario.workload = WorkloadKind::kMixed;
     scenario.world = world;
     scenario.protocol = Protocol::kCC;
     scenario.failures.at_collectives = {5, 11};
     scenario.retain_generations = 2;
-    scenario.sched.backend = backend;
-    outcomes[i++] = expect_scenario_roundtrip(scenario);
+    scenario.sched = row.config;
+    outcomes.push_back(expect_scenario_roundtrip(scenario));
   }
-  for (int j = 1; j < 3; ++j) {
+  for (std::size_t j = 1; j < outcomes.size(); ++j) {
+    SCOPED_TRACE(rows[j].name);
     EXPECT_EQ(outcomes[0].golden, outcomes[j].golden);
     EXPECT_EQ(outcomes[0].chained, outcomes[j].chained);
     EXPECT_EQ(outcomes[0].lifecycle.crashes, outcomes[j].lifecycle.crashes);
@@ -150,23 +192,22 @@ INSTANTIATE_TEST_SUITE_P(Worlds, LifecycleEquivalenceWorlds,
                          ::testing::Values(2, 4, 8, 16));
 
 TEST(LifecycleEquivalence, TwoPhaseCommitChainMatchesAcrossBackends) {
-  ScenarioOutcome outcomes[3];
-  int i = 0;
-  for (const auto backend :
-       {sched::Backend::kThreads, sched::Backend::kFibers,
-        sched::Backend::kEvents}) {
+  std::vector<SchedRow> rows = events_rows();
+  rows.insert(rows.begin(), threads_row());
+  std::vector<ScenarioOutcome> outcomes;
+  for (const SchedRow& row : rows) {
     Scenario scenario;
-    scenario.tag =
-        std::string("sched_eq_life_tpc_") + sched::backend_name(backend);
+    scenario.tag = "sched_eq_life_tpc_" + row.name;
     scenario.workload = WorkloadKind::kMixed;
     scenario.world = 4;
     scenario.protocol = Protocol::kTpc;
     scenario.failures.at_collectives = {6};
     scenario.retain_generations = 2;
-    scenario.sched.backend = backend;
-    outcomes[i++] = expect_scenario_roundtrip(scenario);
+    scenario.sched = row.config;
+    outcomes.push_back(expect_scenario_roundtrip(scenario));
   }
-  for (int j = 1; j < 3; ++j) {
+  for (std::size_t j = 1; j < outcomes.size(); ++j) {
+    SCOPED_TRACE(rows[j].name);
     EXPECT_EQ(outcomes[0].golden, outcomes[j].golden);
     EXPECT_EQ(outcomes[0].chained, outcomes[j].chained);
     EXPECT_EQ(outcomes[0].lifecycle.crashes, outcomes[j].lifecycle.crashes);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,21 +23,15 @@ using namespace std::chrono_literals;
 
 SchedConfig fibers(int workers = 1) {
   SchedConfig config;
-  config.backend = Backend::kFibers;
   config.workers = workers;
   return config;
 }
 
-TEST(SchedBackend, ParseNames) {
-  EXPECT_EQ(parse_backend("threads"), Backend::kThreads);
-  EXPECT_EQ(parse_backend("fibers"), Backend::kFibers);
-  EXPECT_EQ(parse_backend("events"), Backend::kEvents);
-  // A typo must fail loudly, never silently fall back to threads.
-  EXPECT_THROW((void)parse_backend("coroutines"), UsageError);
-  EXPECT_THROW((void)parse_backend(""), UsageError);
-  EXPECT_THROW((void)parse_backend("Fibers"), UsageError);
+TEST(SchedBackend, DefaultsAndNames) {
+  const SchedConfig config;
+  EXPECT_EQ(config.backend, Backend::kEvents);
+  EXPECT_EQ(config.stack_budget_bytes, std::size_t{40} << 20);
   EXPECT_STREQ(backend_name(Backend::kThreads), "threads");
-  EXPECT_STREQ(backend_name(Backend::kFibers), "fibers");
   EXPECT_STREQ(backend_name(Backend::kEvents), "events");
 }
 
@@ -263,16 +258,30 @@ TEST(Waiter, PingPongManyRoundsWithoutLostWakeups) {
 }
 
 TEST(StackPool, MapsAndRecycles) {
-  StackPool pool(64 * 1024);
+  StackPool pool;
   auto a = pool.acquire();
   const auto* base_a = a.base;
-  EXPECT_GE(a.usable(), 64u * 1024u);
+  EXPECT_GE(a.usable(), kStackBytes);
   pool.release(a);
   auto b = pool.acquire();
   EXPECT_EQ(b.base, base_a);  // free-list hit
   EXPECT_EQ(pool.mapped(), 1u);
   EXPECT_EQ(pool.reused(), 1u);
   pool.release(b);
+}
+
+TEST(StackPool, ReleaseChecksTheGuardWordThenDecommits) {
+  StackPool pool;
+  StackAllocation s = pool.acquire();
+  auto* top = static_cast<std::byte*>(s.top);
+  top[-1] = std::byte{0x5a};
+  pool.release(s, s.usable());  // used to the bottom page, guard intact
+  EXPECT_EQ(top[-1], std::byte{0});  // pooled stacks hold no pages
+
+  s = pool.acquire();
+  const std::uint64_t clobbered = 1;
+  std::memcpy(s.limit, &clobbered, sizeof(clobbered));
+  EXPECT_THROW(pool.release(s, s.usable()), UsageError);
 }
 
 }  // namespace
