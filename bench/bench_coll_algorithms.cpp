@@ -13,13 +13,11 @@
 //
 // --json/--check switch to the topology-comparison mode: a fixed world is
 // re-run across cluster shapes (single node, two-node flat, oversubscribed
-// fat-tree, dragonfly with the in-switch unit) and the per-shape cells plus
-// the heuristic's picks are written as JSON. --check self-gates on
-// virtual-time ratios (machine-independent): on every multi-node shape the
-// hierarchical allreduce must beat the flat algorithms at large messages,
-// the heuristic must pick it there (and must not pick it on one node), and
-// the in-switch barrier must beat software dissemination where the unit
-// exists.
+// fat-tree, dragonfly) and the per-shape cells plus the heuristic's picks
+// are written as JSON. --check self-gates on virtual-time ratios
+// (machine-independent): on every multi-node shape the hierarchical
+// allreduce must beat the flat algorithms at large messages, and the
+// heuristic must pick it there (and must not pick it on one node).
 //
 // The --coll-* overrides (common/options) apply on top, demonstrating the
 // runtime-selection plumbing end to end.
@@ -169,14 +167,13 @@ std::vector<TopoCase> topo_cases(int world) {
   simnet::TopoSpec fat =
       simnet::parse_topo_spec("fattree:group=2,oversub=2");
   fat.ranks_per_node = world / 4;
-  simnet::TopoSpec dfly =
-      simnet::parse_topo_spec("dragonfly:group=2,rails=2,switch=1");
+  simnet::TopoSpec dfly = simnet::parse_topo_spec("dragonfly:group=2,rails=2");
   dfly.ranks_per_node = world / 4;
   return {
       {"flat-1node", flat(1), 1},
       {"flat-2node", flat(2), 2},
       {"fattree-4node-oversub2", fat, 4},
-      {"dragonfly-4node-switch", dfly, 4},
+      {"dragonfly-4node", dfly, 4},
   };
 }
 
@@ -207,7 +204,7 @@ int run_topology_mode(const Options& opts, const CollTuning& base) {
   const std::vector<std::size_t> sizes{4096, 1u << 20};
 
   print_header("Collective topology axis: virtual time per operation",
-               "cluster shapes × algorithm (hier/switch vs flat variants)");
+               "cluster shapes × algorithm (hier vs flat variants)");
 
   const std::vector<Sweep> sweeps{
       {CollKind::kBarrier, barrier_app},
@@ -228,9 +225,6 @@ int run_topology_mode(const Options& opts, const CollTuning& base) {
         std::string row;
         for (const auto& entry : Registry::instance().entries(sweep.kind)) {
           if (!entry.usable(world, CollArgs{})) continue;
-          // The in-switch rows only make sense where the unit exists
-          // (forcing "switch" elsewhere would silently grow one).
-          if (entry.name == "switch" && !tc.spec.switch_coll) continue;
           const auto total = run_once(world, sweep.kind, entry.name, base,
                                       tc.spec, sweep.app(bytes, world, iters));
           const double us =
@@ -340,25 +334,11 @@ int run_topology_mode(const Options& opts, const CollTuning& base) {
           ok = false;
         }
       }
-      // Gate 3: the in-switch barrier beats software dissemination wherever
-      // the unit exists.
-      if (tc.spec.switch_coll) {
-        const double sw = cell_us(tc.label, "barrier", 0, "switch");
-        const double soft = cell_us(tc.label, "barrier", 0, "dissemination");
-        if (sw < 0 || soft < 0 || sw >= soft) {
-          std::fprintf(stderr,
-                       "FAIL: switch barrier (%.1fus) not faster than "
-                       "dissemination (%.1fus) on %s\n",
-                       sw, soft, tc.label.c_str());
-          ok = false;
-        }
-      }
     }
     if (!ok) return 1;
     std::printf(
         "\ncheck OK: hier allreduce beats flat on every multi-node shape, "
-        "the heuristic picks it there (and only there), and the in-switch "
-        "barrier beats dissemination\n");
+        "and the heuristic picks it there (and only there)\n");
   }
   return 0;
 }
@@ -411,7 +391,6 @@ int run(int argc, char** argv) {
         simnet::SimTime best = 0;
         for (const auto& entry : Registry::instance().entries(sweep.kind)) {
           if (!entry.usable(world, CollArgs{})) continue;
-          if (entry.name == "switch" && !spec.switch_coll) continue;
           const auto total = run_once(world, sweep.kind, entry.name, base,
                                       spec, sweep.app(bytes, world, iters));
           const double us =

@@ -10,8 +10,7 @@
 # topology sweep (1/2/4-node shapes x rail counts) is written to
 # BENCH_9.json and self-gates: the hierarchical allreduce must beat every
 # flat algorithm (and be the heuristic pick) for large messages on every
-# multi-node shape, and the in-switch barrier must beat dissemination where
-# the topology offers the unit.
+# multi-node shape.
 # With --check <committed.json> it additionally fails (exit 1) when the fresh
 # measurement regresses the committed reference by more than the tolerance
 # (default 20%) on the gated wall-clock call rates, or when the eager
@@ -71,8 +70,7 @@ fi
 "$BUILD_DIR/bench_fig9_ckpt_restart" --json "$OUT_CKPT" --check
 echo "wrote $OUT_CKPT"
 # --check is the topology gate: hier allreduce beats every flat algorithm
-# (and is the heuristic pick) at large messages on every multi-node shape,
-# and the in-switch barrier beats dissemination where the unit is offered
+# (and is the heuristic pick) at large messages on every multi-node shape
 # (virtual-time ratios again, so no tolerance).
 "$BUILD_DIR/bench_coll_algorithms" --json "$OUT_COLL" --check
 echo "wrote $OUT_COLL"

@@ -7,9 +7,8 @@
 
 namespace manatee::ckpt {
 
-Coordinator::Coordinator(int world_size, simnet::Fabric* fabric,
-                         SwitchDrainMode switch_drain)
-    : world_size_(world_size), fabric_(fabric), switch_drain_(switch_drain) {
+Coordinator::Coordinator(int world_size, simnet::Fabric* fabric)
+    : world_size_(world_size), fabric_(fabric) {
   ranks_.resize(static_cast<std::size_t>(world_size));
   MANATEE_REQUIRE(world_size > 0, "coordinator needs a positive world size");
 }
@@ -22,12 +21,6 @@ bool Coordinator::request_checkpoint() {
   common::MutexLock lock(mutex_);
   if (phase_ != CkptPhase::kIdle) return false;
   phase_ = CkptPhase::kDrain;
-  if (switch_drain_ == SwitchDrainMode::kQuiesce && fabric_ != nullptr) {
-    // Freeze the in-switch aggregation unit for the whole cycle: partial
-    // rounds abort to the software fallback, so no switch-resident state
-    // survives into the image (80 → 70 lock order).
-    fabric_->switch_unit().quiesce();
-  }
   targets_.clear();
   targets_version_ = 0;
   for (auto& r : ranks_) {
@@ -305,9 +298,6 @@ void Coordinator::report_written(int rank) {
   }
   phase_ = CkptPhase::kIdle;
   ++completed_cycles_;
-  if (switch_drain_ == SwitchDrainMode::kQuiesce && fabric_ != nullptr) {
-    fabric_->switch_unit().resume();
-  }
   LOG_DEBUG("coordinator: checkpoint cycle " << completed_cycles_ << " complete");
   wake_all_locked();
 }

@@ -37,24 +37,9 @@ enum class CkptPhase : int {
   kWrite = 2,  ///< safe state reached; ranks writing images
 };
 
-/// What the coordinator does about in-switch collective state at drain
-/// time (simnet/switch_coll.hpp):
-///
-///   * kCutThrough — the unit keeps serving; the CC target cut forces every
-///     member of an entered switch round through it, so partial
-///     aggregations complete before the safe state.
-///   * kQuiesce    — the unit is frozen at drain start (partial rounds
-///     abort to the software fallback) and re-enabled when the cycle
-///     completes.
-enum class SwitchDrainMode : int {
-  kCutThrough = 0,
-  kQuiesce = 1,
-};
-
 class Coordinator {
  public:
-  Coordinator(int world_size, simnet::Fabric* fabric,
-              SwitchDrainMode switch_drain = SwitchDrainMode::kCutThrough);
+  Coordinator(int world_size, simnet::Fabric* fabric);
 
   // --- request / phase --------------------------------------------------------
   /// Deliver a checkpoint request (idempotent while a cycle is in flight).
@@ -204,12 +189,10 @@ class Coordinator {
   };
 
   /// Lock level 80: wake_all_locked holds it across the stores' interest
-  /// mutexes (level 60) and the quiesce path across the switch unit's
-  /// mutex (level 70); never acquired with either already held.
+  /// mutexes (level 60); never acquired with one already held.
   mutable common::Mutex mutex_;
   int world_size_;
   simnet::Fabric* fabric_;
-  SwitchDrainMode switch_drain_;
 
   CkptPhase phase_ MANATEE_GUARDED_BY(mutex_) = CkptPhase::kIdle;
   std::uint64_t completed_cycles_ MANATEE_GUARDED_BY(mutex_) = 0;

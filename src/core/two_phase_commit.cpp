@@ -16,11 +16,9 @@ void TpcManager::pre_collective(const umpi::CommPtr& comm) {
   coordinator_.tpc_enter(rank_.world_rank(), ggid, instance, comm->size());
 
   // The inserted barrier: a real MPI_Ibarrier on the application's own
-  // communicator, driven by an MPI_Test loop. Always the software
-  // algorithm: a cut taken while only some members have entered abandons
-  // the barrier (re-executed at restart), which the in-switch offload
-  // cannot survive — an entered member's contribution would sit in the
-  // unit as a partially aggregated round at capture.
+  // communicator, driven by an MPI_Test loop, with a fixed algorithm
+  // (Rank::ibarrier_software). A cut taken while only some members have
+  // entered abandons the barrier; it is re-executed at restart.
   auto barrier = rank_.ibarrier_software(comm);
   bool parked = false;
   while (!rank_.test(barrier)) {

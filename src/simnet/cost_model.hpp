@@ -29,9 +29,6 @@ struct CostParams {
   /// Each inter-node switch hop beyond the first (fat-tree spine climbs,
   /// dragonfly global links) adds this store-and-forward latency.
   SimTime extra_hop_latency_ns = 300;
-  /// In-switch collective unit: ALU time to fold one contribution into the
-  /// aggregation state (simnet/switch_coll.hpp charges it per member).
-  SimTime switch_aggregate_ns = 120;
 
   // --- per-call CPU overheads ---
   SimTime send_overhead_ns = 150;   ///< o_s: software path to inject a message
@@ -118,10 +115,6 @@ class CostModel {
     return p_.send_overhead_ns +
            static_cast<SimTime>(
                std::llround(static_cast<double>(bytes) / p_.intra_node_gbps));
-  }
-
-  [[nodiscard]] SimTime switch_aggregate_cost() const noexcept {
-    return p_.switch_aggregate_ns;
   }
 
   [[nodiscard]] SimTime reduce_cost(std::size_t bytes) const noexcept {

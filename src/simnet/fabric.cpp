@@ -10,13 +10,6 @@ Fabric::Fabric(Topology topology, CostModel cost)
   for (int i = 0; i < topology_.world_size(); ++i) {
     stores_.push_back(std::make_unique<MessageStore>(&pool_));
   }
-  const TopoSpec& spec = topology_.spec();
-  SwitchUnit::Limits limits;
-  limits.enabled = spec.switch_coll;
-  limits.max_members = spec.switch_max_members;
-  limits.max_payload = spec.switch_max_payload;
-  limits.rail_scale = static_cast<double>(spec.rails);
-  switch_unit_ = std::make_unique<SwitchUnit>(this, limits);
 }
 
 MessageStore& Fabric::store(int world_rank) {

@@ -20,7 +20,6 @@
 #include "simnet/mailbox.hpp"
 #include "simnet/message.hpp"
 #include "simnet/payload.hpp"
-#include "simnet/switch_coll.hpp"
 #include "simnet/topology.hpp"
 #include "simnet/virtual_clock.hpp"
 
@@ -38,11 +37,6 @@ class Fabric {
   /// Payload pool backing every store's unexpected queue and the collective
   /// algorithms' scratch buffers.
   [[nodiscard]] BufferPool& pool() noexcept { return pool_; }
-
-  /// The in-switch collective aggregation unit (switch_coll.hpp). Always
-  /// present; admits sessions only when the topology advertises the
-  /// capability (TopoSpec::switch_coll).
-  [[nodiscard]] SwitchUnit& switch_unit() noexcept { return *switch_unit_; }
 
   /// Send `payload` from world rank `src_world` to `dst_world`.
   ///
@@ -76,9 +70,6 @@ class Fabric {
   CostModel cost_;
   BufferPool pool_;  ///< declared before stores_: destroyed after them
   std::vector<std::unique_ptr<MessageStore>> stores_;
-  /// Declared after stores_: delivers into them, destroyed first. Its own
-  /// mutex (level 70) sits between the coordinator (80) and the stores (60).
-  std::unique_ptr<SwitchUnit> switch_unit_;
 };
 
 }  // namespace manatee::simnet

@@ -50,13 +50,6 @@ TopoSpec parse_topo_spec(const std::string& text) {
       spec.nodes_per_group = std::atoi(value.c_str());
     } else if (key == "oversub") {
       spec.oversubscription = std::atof(value.c_str());
-    } else if (key == "switch") {
-      spec.switch_coll = std::atoi(value.c_str()) != 0;
-    } else if (key == "switch-members") {
-      spec.switch_max_members = std::atoi(value.c_str());
-    } else if (key == "switch-payload") {
-      spec.switch_max_payload =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
     } else {
       throw UsageError("unknown topology parameter '" + key + "'");
     }
@@ -76,7 +69,6 @@ std::string Topology::describe() const {
   if (spec_.kind == TopoKind::kFatTree && spec_.oversubscription > 1.0) {
     out += ", " + std::to_string(spec_.oversubscription) + ":1 oversubscribed";
   }
-  if (spec_.switch_coll) out += ", in-switch collectives";
   return out;
 }
 

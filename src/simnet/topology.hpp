@@ -8,10 +8,9 @@
 // link costs, or dragonfly groups; the fabric charges transfers through
 // path() — hop count and bandwidth scale of the route — instead of the old
 // binary same-node check, and the collective selection layer consults
-// node_count()/spec() to pick hierarchical or switch-offloaded algorithms.
+// node_count()/spec() to pick hierarchical algorithms.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "common/error.hpp"
@@ -42,19 +41,10 @@ struct TopoSpec {
   /// Fat-tree uplink taper: cross-group bandwidth is divided by this
   /// (1.0 = full bisection).
   double oversubscription = 1.0;
-  /// The switches carry an in-network collective aggregation unit
-  /// (simnet/switch_coll.hpp); enables the "switch" barrier/bcast path.
-  bool switch_coll = false;
-  /// Per-session member cap of the aggregation unit; communicators above
-  /// it are inadmissible (software fallback).
-  int switch_max_members = 4096;
-  /// Largest payload the unit aggregates (bytes); bigger rounds are
-  /// rejected at contribution time (software fallback).
-  std::size_t switch_max_payload = 1024;
 };
 
 /// Parse a topology description string, e.g. "flat", "flat:rpn=16,rails=2",
-/// "fattree:rpn=8,group=4,oversub=2", "dragonfly:rpn=8,group=2,switch=1".
+/// "fattree:rpn=8,group=4,oversub=2", "dragonfly:rpn=8,group=2".
 /// Unknown shapes or keys throw UsageError.
 [[nodiscard]] TopoSpec parse_topo_spec(const std::string& text);
 

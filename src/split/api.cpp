@@ -884,18 +884,6 @@ void Api::capture_and_write() {
     image.blobs["engine/unexpected"] = w.take();
   }
 
-  // In-switch aggregation unit. At the safe state every entered collective
-  // has completed, so no partially aggregated round may be resident in the
-  // switch — cut-through drains complete entered rounds through the unit,
-  // quiesce aborts them to the software fallback. The counters are stable
-  // here (every rank is parked) and identical in all ranks' images.
-  {
-    const auto& unit = rank_.runtime().fabric().switch_unit();
-    MANATEE_CHECK(unit.counters().live_partial_rounds == 0,
-                  "safe state has a partially aggregated in-switch round");
-    image.blobs["engine/switch"] = unit.capture();
-  }
-
   // Application segments.
   for (auto& [name, bytes] : ctx_.registry.capture()) {
     image.blobs["app/" + name] = std::move(bytes);
@@ -968,16 +956,6 @@ void Api::restore_from_image() {
       m.payload = r.read_bytes();
       pending_unexpected_.push_back(std::move(m));
     }
-  }
-
-  // Validate the in-switch capture: a valid safe state never contains a
-  // partially aggregated round (older images without the blob are fine —
-  // their jobs predate the switch unit). The fresh lower half starts with
-  // an empty unit either way; sessions re-register lazily.
-  if (const auto it = image.blobs.find("engine/switch"); it != image.blobs.end()) {
-    const auto counters = simnet::SwitchUnit::parse_capture(it->second);
-    MANATEE_CHECK(counters.live_partial_rounds == 0,
-                  "restored image records a partially aggregated in-switch round");
   }
 
   // Model reading the image back from stable storage.

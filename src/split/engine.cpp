@@ -1,8 +1,6 @@
 #include "split/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "ckpt/generation.hpp"
 #include "common/error.hpp"
@@ -23,19 +21,6 @@ simnet::SimTime pfs_time(std::uint64_t bytes, int world_size, double lustre_gbps
                                       lustre_gbps);
 }
 
-/// MANATEE_SWITCH_DRAIN=quiesce flips the switch-drain strategy suite-wide
-/// (mirrors MANATEE_COLL); an explicit config choice wins.
-ckpt::SwitchDrainMode resolved_switch_drain(const EngineConfig& config) {
-  if (config.switch_drain != ckpt::SwitchDrainMode::kCutThrough) {
-    return config.switch_drain;
-  }
-  const char* env = std::getenv("MANATEE_SWITCH_DRAIN");
-  if (env != nullptr && std::string_view(env) == "quiesce") {
-    return ckpt::SwitchDrainMode::kQuiesce;
-  }
-  return config.switch_drain;
-}
-
 }  // namespace
 
 const char* protocol_name(Protocol p) noexcept {
@@ -50,8 +35,7 @@ const char* protocol_name(Protocol p) noexcept {
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
       runtime_(config_.runtime),
-      coordinator_(config_.runtime.world_size, &runtime_.fabric(),
-                   resolved_switch_drain(config_)),
+      coordinator_(config_.runtime.world_size, &runtime_.fabric()),
       cursor_(config_.failures) {
   MANATEE_REQUIRE(config_.retain_generations >= 0,
                   "retain_generations must be non-negative");

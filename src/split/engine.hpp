@@ -28,6 +28,15 @@
 #include "split/failure_schedule.hpp"
 #include "umpi/runtime.hpp"
 
+namespace manatee::ckpt {
+
+/// Has no effect: nothing reads it. The benchmark harness (perfbench/)
+/// still names both values, so the declaration stays until the next change
+/// to the benchmark, and goes away with it.
+enum class SwitchDrainMode : int { kCutThrough = 0, kQuiesce = 1 };
+
+}  // namespace manatee::ckpt
+
 namespace manatee::split {
 
 enum class Protocol { kNative, kCC, kTpc };
@@ -77,10 +86,8 @@ struct EngineConfig {
   /// Record per-rank event traces for the drain-graph oracle (tests).
   bool record_trace = false;
 
-  /// How the drain treats in-switch collective state (ckpt::SwitchDrainMode):
-  /// cut-through (default; the CC cut completes entered switch rounds) or
-  /// quiesce (freeze the unit, abort partials to the software fallback).
-  /// The MANATEE_SWITCH_DRAIN=quiesce env flips the default suite-wide.
+  /// Has no effect (see ckpt::SwitchDrainMode); goes away with the next
+  /// change to the benchmark harness, which still sets it.
   ckpt::SwitchDrainMode switch_drain = ckpt::SwitchDrainMode::kCutThrough;
 };
 

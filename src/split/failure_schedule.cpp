@@ -41,12 +41,14 @@ ScheduleCursor::ScheduleCursor(const FailureSchedule& schedule)
     : schedule_(schedule),
       collective_thresholds_(schedule.at_collectives),
       time_thresholds_(schedule.at_times),
-      poisson_rng_(schedule.poisson_seed) {
+      poisson_rng_(schedule.poisson_seed),
+      poisson_resume_state_(schedule.poisson_seed) {
   std::sort(collective_thresholds_.begin(), collective_thresholds_.end());
   std::sort(time_thresholds_.begin(), time_thresholds_.end());
 }
 
 void ScheduleCursor::arm_poisson(simnet::SimTime now) {
+  poisson_resume_state_ = poisson_rng_.state();
   if (poisson_consumed_ >= schedule_.poisson_max_arrivals) {
     poisson_next_ = -1;
     return;

@@ -88,9 +88,11 @@ class ScheduleCursor {
     return poisson_consumed_;
   }
   [[nodiscard]] std::uint64_t fired() const noexcept { return fired_; }
-  /// Poisson generator state after the draws made so far (chains segments).
+  /// Poisson generator state to chain the next segment from: the state
+  /// before the pending (drawn but unfired) gap, so the next segment draws
+  /// that gap again and the chain follows poisson_arrivals()' stream.
   [[nodiscard]] std::uint64_t poisson_rng_state() const noexcept {
-    return poisson_rng_.state();
+    return poisson_resume_state_;
   }
 
  private:
@@ -104,6 +106,7 @@ class ScheduleCursor {
   std::size_t collective_idx_ = 0;
   std::size_t time_idx_ = 0;
   Rng poisson_rng_{0};
+  std::uint64_t poisson_resume_state_ = 0;  ///< see poisson_rng_state()
   bool poisson_armed_ = false;
   simnet::SimTime poisson_next_ = -1;  // -1 = source exhausted/disabled
   std::uint64_t poisson_consumed_ = 0;

@@ -54,6 +54,5 @@ inline ByteRange elem_block(std::size_t count, int p, int i, std::size_t esize) 
 void register_rooted_algorithms(Registry& registry);
 void register_global_algorithms(Registry& registry);
 void register_hier_algorithms(Registry& registry);
-void register_switch_algorithms(Registry& registry);
 
 }  // namespace manatee::umpi::coll

@@ -1198,7 +1198,6 @@ void register_builtin_algorithms(Registry& registry) {
   register_rooted_algorithms(registry);
   register_global_algorithms(registry);
   register_hier_algorithms(registry);
-  register_switch_algorithms(registry);
 }
 
 }  // namespace manatee::umpi::coll

@@ -48,10 +48,6 @@ TopoView make_topo_view(const Group& group, const simnet::Topology& topo) {
       view.max_node_ranks = std::max(view.max_node_ranks, n);
     }
   }
-  const simnet::TopoSpec& spec = topo.spec();
-  view.switch_available = spec.switch_coll && group.size() >= 2 &&
-                          group.size() <= spec.switch_max_members;
-  view.switch_max_payload = spec.switch_max_payload;
   return view;
 }
 
@@ -131,23 +127,15 @@ const char* CollModule::decide(CollKind kind, const CollArgs& args) const {
   // algorithm segments its payload, so un-pipelined chain/ring variants
   // only win where they move asymptotically less data (large allreduce).
   // When the communicator spans several nodes the hierarchical variants
-  // win by keeping all but one message per node off the inter-node links;
-  // the in-switch unit beats even those (one NIC round trip) where the
-  // topology offers it and the payload fits the unit's buffer.
+  // win by keeping all but one message per node off the inter-node links.
   switch (kind) {
     case CollKind::kBarrier:
-      if (view_.switch_available) return "switch";
       if (hier) return "hier";
       // Dissemination needs ceil(log2 p) rounds vs the tree's 2·log2 p;
       // with no payload the trade-off never favors the tree, which stays
       // available as an explicit override.
       return "dissemination";
     case CollKind::kBcast:
-      // The downlink envelope carries a verdict byte ahead of the data, so
-      // the unit's payload cap gates bytes + 1.
-      if (view_.switch_available && bytes + 1 <= view_.switch_max_payload) {
-        return "switch";
-      }
       if (hier) return "hier";
       // Eager sends make the root's flat fan-out cheap; the binomial tree
       // only pays off once the root's send loop exceeds tree depth costs

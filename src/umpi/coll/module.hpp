@@ -67,10 +67,6 @@ void apply_coll_options(CollTuning& tuning, const Options& options);
 struct TopoView {
   int node_count = 1;      ///< distinct nodes spanned by the members
   int max_node_ranks = 1;  ///< largest member count on one node
-  /// The topology advertises an in-switch aggregation unit and this
-  /// communicator is admissible (size within the unit's member cap).
-  bool switch_available = false;
-  std::size_t switch_max_payload = 0;  ///< unit payload cap (bytes)
 
   /// True when hierarchical algorithms have structure to exploit: members
   /// span several nodes and at least one node holds more than one.

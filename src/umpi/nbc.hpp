@@ -182,12 +182,10 @@ class NbcOp {
   simnet::VirtualClock op_clock_;
   bool op_clock_started_ = false;
 
-  /// Protected so wrapper ops (switch offload with software fallback) can
-  /// forward the inner operation's blocked-on receive to the targeted wait.
-  const simnet::RecvResult* blocking_on_ = nullptr;
-
  private:
   void post(Rank& rank, Slot& slot, int src);
+
+  const simnet::RecvResult* blocking_on_ = nullptr;
 };
 
 }  // namespace manatee::umpi

@@ -748,13 +748,12 @@ Request Rank::ibarrier(const CommPtr& comm) {
 Request Rank::ibarrier_software(const CommPtr& comm) {
   check_comm(comm);
   ++counters_.collective_calls;
-  // Fixed software algorithm, deliberately outside the selection layer: the
-  // 2PC cut may abandon this barrier with only a subset of members entered,
-  // which the in-switch offload cannot tolerate (a partially aggregated
-  // round would be resident in the unit at capture). Dissemination is
-  // registered unconditionally and usable at every communicator size, and
-  // every member takes the same path, so the inserted barrier stays pure
-  // store-level traffic that drain capture already handles.
+  // Fixed algorithm, deliberately outside the selection layer: the 2PC cut
+  // may abandon this barrier with only a subset of members entered, and a
+  // forced --coll-barrier choice must not change what that cut leaves
+  // behind. Dissemination is registered unconditionally and usable at every
+  // communicator size, and every member takes the same path, so the
+  // inserted barrier stays store-level traffic that drain capture handles.
   const coll::AlgoEntry* entry =
       coll::Registry::instance().find(coll::CollKind::kBarrier, "dissemination");
   MANATEE_CHECK(entry != nullptr, "software barrier algorithm missing");

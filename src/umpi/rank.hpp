@@ -155,11 +155,9 @@ class Rank {
 
   // --- non-blocking collectives ----------------------------------------------
   Request ibarrier(const CommPtr& comm);
-  /// Software-only ibarrier for checkpoint-protocol machinery (the 2PC
-  /// inserted barrier). It bypasses algorithm selection — including a forced
-  /// "switch" — because a protocol barrier must stay abandonable at any cut:
-  /// an in-switch round holds switch-resident partial aggregation state that
-  /// a cut taken between the members' entries can never drain.
+  /// Fixed-algorithm ibarrier for checkpoint-protocol machinery (the 2PC
+  /// inserted barrier). It bypasses algorithm selection, so no user tuning
+  /// can change the protocol's own message pattern.
   Request ibarrier_software(const CommPtr& comm);
   Request ibcast(const CommPtr& comm, std::span<std::byte> data, int root,
                  Datatype dt = Datatype::kByte);

@@ -1,8 +1,5 @@
 #include "umpi/runtime.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/mutex.hpp"
@@ -10,33 +7,6 @@
 namespace manatee::umpi {
 
 namespace {
-
-/// MANATEE_COLL flips the collective stack suite-wide: "switch" forces the
-/// in-switch barrier/bcast (and turns the capability on in the topology),
-/// "hier" forces the hierarchical algorithms. Explicitly forced entries in
-/// the config always win — the env preset only fills an untouched tuning.
-RuntimeConfig with_env_presets(RuntimeConfig config) {
-  const char* preset = std::getenv("MANATEE_COLL");
-  if (preset == nullptr || *preset == '\0') return config;
-  for (const auto& name : config.coll.forced) {
-    if (!name.empty()) return config;
-  }
-  const std::string_view p = preset;
-  if (p == "switch") {
-    config.topo.switch_coll = true;
-    config.coll.force(coll::CollKind::kBarrier, "switch");
-    config.coll.force(coll::CollKind::kBcast, "switch");
-  } else if (p == "hier") {
-    config.coll.force(coll::CollKind::kBarrier, "hier");
-    config.coll.force(coll::CollKind::kBcast, "hier");
-    config.coll.force(coll::CollKind::kReduce, "hier");
-    config.coll.force(coll::CollKind::kAllreduce, "hier");
-  } else {
-    throw UsageError(std::string("unknown MANATEE_COLL preset '") + preset +
-                     "' (expected 'switch' or 'hier')");
-  }
-  return config;
-}
 
 simnet::TopoSpec resolved_topo(const RuntimeConfig& config) {
   simnet::TopoSpec spec = config.topo;
@@ -47,7 +17,7 @@ simnet::TopoSpec resolved_topo(const RuntimeConfig& config) {
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig config)
-    : config_(with_env_presets(std::move(config))),
+    : config_(std::move(config)),
       fabric_(simnet::Topology(config_.world_size, resolved_topo(config_)),
               simnet::CostModel(config_.cost)),
       world_group_(Group::world(config_.world_size)),

@@ -26,7 +26,7 @@ struct RuntimeConfig {
   simnet::CostParams cost{};
 
   /// Cluster shape (simnet/topology.hpp): node grouping, rail counts,
-  /// per-level link costs, in-switch collective capability. A zero
+  /// per-level link costs. A zero
   /// topo.ranks_per_node inherits `ranks_per_node` above, so existing
   /// configurations keep their flat layout untouched.
   simnet::TopoSpec topo{};

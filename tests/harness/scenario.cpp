@@ -157,11 +157,9 @@ std::string Scenario::describe() const {
            "ns seed=" + std::to_string(failures.poisson_seed) + "}";
   }
   out += " sched=" + std::string(sched::backend_name(sched.backend));
-  if (topo.kind != simnet::TopoKind::kFlat || topo.switch_coll) {
+  if (topo.kind != simnet::TopoKind::kFlat) {
     out += " topo=" + std::string(simnet::topo_kind_name(topo.kind));
-    if (topo.switch_coll) out += "+switch";
   }
-  if (switch_drain == ckpt::SwitchDrainMode::kQuiesce) out += " drain=quiesce";
   out += " retain=" + std::to_string(retain_generations);
   if (ckpt_delta || ckpt_async || ckpt_replicate) {
     out += " ckpt{";
@@ -241,7 +239,6 @@ ScenarioOutcome run_scenario(const Scenario& scenario) {
   lifecycle.engine.runtime.topo = scenario.topo;
   lifecycle.engine.runtime.coll = scenario.coll;
   lifecycle.engine.runtime.sched = scenario.sched;
-  lifecycle.engine.switch_drain = scenario.switch_drain;
   lifecycle.engine.protocol = scenario.protocol;
   lifecycle.engine.image_dir = outcome.image_dir;
   lifecycle.engine.failures = scenario.failures;

@@ -54,12 +54,9 @@ struct Scenario {
   int world = 4;
   int ranks_per_node = 4;
   /// Cluster shape (simnet/topology.hpp). Zero topo.ranks_per_node inherits
-  /// `ranks_per_node` above; switch_coll enables the in-switch offload.
-  /// Applied to the golden run and every lifecycle segment alike.
+  /// `ranks_per_node` above. Applied to the golden run and every lifecycle
+  /// segment alike.
   simnet::TopoSpec topo{};
-  /// How checkpoints drain in-switch collective state (cut-through vs
-  /// quiesce; see ckpt/coordinator.hpp).
-  ckpt::SwitchDrainMode switch_drain = ckpt::SwitchDrainMode::kCutThrough;
   split::Protocol protocol = split::Protocol::kCC;
   /// Collective-algorithm override (empty strings = heuristic selection).
   umpi::coll::CollTuning coll{};

@@ -256,14 +256,14 @@ TEST(CollAlgorithmCkpt, NonBlockingAllreduceAlgorithmsSurviveDrain) {
 
 TEST(CollAlgorithmCkpt, HeuristicSelectionEquivalentAcrossTopologies) {
   // The same app under heuristic selection on every cluster shape — flat
-  // single-node, multi-rail flat with the switch unit, tapered fat-tree,
-  // dragonfly — must produce byte-identical fingerprints: topology may only
-  // change message patterns and timing, never results.
+  // single-node, multi-rail flat, tapered fat-tree, dragonfly — must
+  // produce byte-identical fingerprints: topology may only change message
+  // patterns and timing, never results.
   const int world = 8;
   const auto baseline = run_native(world, CollKind::kBarrier, "", false);
   for (const char* spec :
-       {"flat:rpn=8", "flat:rpn=2,rails=2,switch=1",
-        "fattree:rpn=2,group=2,oversub=2", "dragonfly:rpn=2,group=2,switch=1"}) {
+       {"flat:rpn=8", "flat:rpn=2,rails=2", "fattree:rpn=2,group=2,oversub=2",
+        "dragonfly:rpn=2,group=2"}) {
     SCOPED_TRACE(spec);
     EngineConfig config =
         make_config(world, Protocol::kNative, "", {}, false, CollKind::kBarrier, "");
@@ -278,59 +278,6 @@ TEST(CollAlgorithmCkpt, HeuristicSelectionEquivalentAcrossTopologies) {
   }
 }
 
-EngineConfig switch_config(int world, Protocol protocol, const std::string& dir,
-                           std::vector<std::uint64_t> triggers, bool stop,
-                           ckpt::SwitchDrainMode drain) {
-  EngineConfig config = make_config(world, protocol, dir, std::move(triggers),
-                                    stop, CollKind::kBarrier, "switch");
-  config.runtime.coll.force(CollKind::kBcast, "switch");
-  config.runtime.topo.switch_coll = true;
-  config.switch_drain = drain;
-  return config;
-}
-
-TEST(CollAlgorithmCkpt, SwitchOffloadCheckpointRestartsByteIdentical) {
-  // Forced in-switch barrier/bcast with a mid-run CC checkpoint, under both
-  // drain strategies: the cut-through path completes entered switch rounds,
-  // the quiesce path aborts them to the software fallback. Either way the
-  // restarted run must reproduce the baseline fingerprints bit for bit.
-  const int world = 6;
-  const auto baseline = run_native(world, CollKind::kBarrier, "", false);
-  for (const auto drain : {ckpt::SwitchDrainMode::kCutThrough,
-                           ckpt::SwitchDrainMode::kQuiesce}) {
-    const bool quiesce = drain == ckpt::SwitchDrainMode::kQuiesce;
-    SCOPED_TRACE(quiesce ? "quiesce" : "cut-through");
-    const auto dir = fresh_dir(std::string("collckpt_switch_") +
-                               (quiesce ? "q" : "ct"));
-    CollEquivApp app;
-    {
-      Engine engine(switch_config(world, Protocol::kCC, dir, {13}, true, drain));
-      RunReport report = engine.run([&](Api& api) {
-        std::uint64_t sink = 0;
-        app.run(api, &sink);
-      });
-      ASSERT_EQ(report.checkpoints, 1u);
-      // The offload really ran in-switch (not silently falling back), and
-      // the drain left no partially aggregated round behind.
-      const auto counters = engine.runtime().fabric().switch_unit().counters();
-      EXPECT_GT(counters.rounds_completed, 0u);
-      EXPECT_EQ(counters.live_partial_rounds, 0u);
-      if (quiesce) {
-        EXPECT_FALSE(engine.runtime().fabric().switch_unit().quiesced())
-            << "cycle completion must resume the unit";
-      }
-    }
-    {
-      Engine engine(switch_config(world, Protocol::kCC, dir, {}, false, drain));
-      std::vector<std::uint64_t> restored(static_cast<std::size_t>(world));
-      engine.restart([&](Api& api) {
-        app.run(api, &restored[static_cast<std::size_t>(api.rank())]);
-      });
-      EXPECT_EQ(restored, baseline);
-    }
-  }
-}
-
 /// CollEquivApp as a harness fingerprint app (lifecycle scenarios below).
 harness::FingerprintApp equiv_app() {
   return [](Api& api) {
@@ -341,33 +288,10 @@ harness::FingerprintApp equiv_app() {
   };
 }
 
-TEST(CollAlgorithmCkpt, LifecycleCrashesMidSwitchBarrier) {
-  // Multi-crash lifecycle chain with forced in-switch barrier/bcast: the
-  // collective-count triggers land while switch rounds are in flight, so
-  // each drain exercises the offload path end to end — under both drain
-  // strategies — and every restart must stay bit-identical to golden.
-  for (const auto drain : {ckpt::SwitchDrainMode::kCutThrough,
-                           ckpt::SwitchDrainMode::kQuiesce}) {
-    const bool quiesce = drain == ckpt::SwitchDrainMode::kQuiesce;
-    harness::Scenario s;
-    s.tag = std::string("life_switch_barrier_") + (quiesce ? "q" : "ct");
-    s.world = 6;
-    s.ranks_per_node = 4;
-    s.topo.switch_coll = true;
-    s.switch_drain = drain;
-    s.coll.force(CollKind::kBarrier, "switch");
-    s.coll.force(CollKind::kBcast, "switch");
-    s.custom_app = equiv_app();
-    s.failures.at_collectives = {9, 17};
-    const auto out = harness::expect_scenario_roundtrip(s);
-    EXPECT_EQ(out.lifecycle.crashes, 2u);
-  }
-}
-
 TEST(CollAlgorithmCkpt, LifecycleCrashesMidHierAllreduce) {
-  // Same storm with hierarchical allreduce/barrier on a 4-node placement:
-  // checkpoints land while the leader ring / dissemination phases are in
-  // flight across nodes.
+  // Multi-crash lifecycle chain with hierarchical allreduce/barrier on a
+  // 4-node placement: checkpoints land while the leader ring /
+  // dissemination phases are in flight across nodes.
   harness::Scenario s;
   s.tag = "life_hier_allreduce";
   s.world = 8;

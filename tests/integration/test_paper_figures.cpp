@@ -163,9 +163,9 @@ TEST(PaperFigures, Fig3bCascadingTargets) {
   config.image_dir = fresh_dir("3b");
   config.record_trace = true;
   // Rank 1's {1,2} bcast must complete at the root without rank 2 (the
-  // premise of the cascade below): pin the eager linear algorithm so a
-  // MANATEE_COLL preset can't swap in an offload that synchronizes every
-  // member before the root returns.
+  // premise of the cascade below): pin the eager linear algorithm so no
+  // tuning change can swap in an algorithm that synchronizes every member
+  // before the root returns.
   config.runtime.coll.force(umpi::coll::CollKind::kBcast, "linear");
 
   Engine engine(config);

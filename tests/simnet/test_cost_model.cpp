@@ -88,12 +88,6 @@ TEST(CostModel, PathCostBandwidthScale) {
               wire * 0.01);
 }
 
-TEST(CostModel, SwitchAggregateCost) {
-  CostParams p;
-  p.switch_aggregate_ns = 333;
-  EXPECT_EQ(CostModel(p).switch_aggregate_cost(), 333);
-}
-
 TEST(CostModel, CustomParamsRespected) {
   CostParams p;
   p.inter_node_latency_ns = 5000;

@@ -126,12 +126,14 @@ TEST(ParseTopoSpec, Parameters) {
   EXPECT_EQ(spec.rails, 2);
 }
 
-TEST(ParseTopoSpec, SwitchParameters) {
-  const auto spec =
-      parse_topo_spec("flat:rpn=4,switch=1,switch-members=64,switch-payload=256");
-  EXPECT_TRUE(spec.switch_coll);
-  EXPECT_EQ(spec.switch_max_members, 64);
-  EXPECT_EQ(spec.switch_max_payload, 256u);
+TEST(ParseTopoSpec, InSwitchKeysAreRejected) {
+  // Keys of the deleted in-switch unit must fail loudly, like any unknown
+  // key, rather than be silently ignored.
+  for (const char* spec :
+       {"dragonfly:rpn=16,group=2,switch=1", "flat:rpn=4,switch-members=64",
+        "flat:rpn=4,switch-payload=256"}) {
+    EXPECT_THROW((void)parse_topo_spec(spec), UsageError) << spec;
+  }
 }
 
 TEST(ParseTopoSpec, Errors) {

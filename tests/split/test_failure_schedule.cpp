@@ -152,6 +152,34 @@ TEST(ScheduleCursor, PoissonReanchorsAfterAnObservationGap) {
   EXPECT_EQ(cursor.poisson_arrivals_consumed(), 2u);
 }
 
+TEST(ScheduleCursor, ChainedSegmentResumesAtTheUnfiredGap) {
+  // A cursor draws its next gap as soon as an arrival fires. Chaining the
+  // next segment the way Lifecycle::advance_schedule does must hand it the
+  // generator state from before that unfired draw: the new segment then
+  // redraws the same gap, and the chain follows poisson_arrivals() instead
+  // of skipping every other gap.
+  FailureSchedule schedule;
+  schedule.poisson_mean_ns = 40'000;
+  schedule.poisson_seed = 1234;
+  schedule.poisson_max_arrivals = 5;
+  const auto arrivals = schedule.poisson_arrivals(2);
+  ASSERT_EQ(arrivals.size(), 2u);
+
+  ScheduleCursor first(schedule);
+  EXPECT_FALSE(first.should_fire(0, 0));
+  EXPECT_TRUE(first.should_fire(0, arrivals[0]));
+
+  FailureSchedule next = schedule;
+  next.poisson_seed = first.poisson_rng_state();
+  next.poisson_max_arrivals -= first.poisson_arrivals_consumed();
+  ScheduleCursor second(next);
+  const simnet::SimTime armed = 3'000;  // the restart's first boundary
+  const simnet::SimTime gap = arrivals[1] - arrivals[0];
+  EXPECT_FALSE(second.should_fire(0, armed));
+  EXPECT_FALSE(second.should_fire(0, armed + gap - 1));
+  EXPECT_TRUE(second.should_fire(0, armed + gap));
+}
+
 TEST(ScheduleCursor, EmptyScheduleNeverFires) {
   ScheduleCursor cursor{FailureSchedule{}};
   EXPECT_FALSE(cursor.should_fire(1'000'000, 1'000'000'000));

@@ -477,23 +477,6 @@ TEST(CollModule, SingleNodeViewStaysFlat) {
   EXPECT_EQ(flat.select(CollKind::kBarrier, CollArgs{}).name, "dissemination");
 }
 
-TEST(CollModule, SwitchSelectionRespectsPayloadCap) {
-  coll::TopoView view;
-  view.node_count = 4;
-  view.max_node_ranks = 4;
-  view.switch_available = true;
-  view.switch_max_payload = 64;
-  const coll::CollModule module(CollTuning{}, 16, view);
-
-  EXPECT_EQ(module.select(CollKind::kBarrier, CollArgs{}).name, "switch");
-  std::vector<std::byte> small(32), big(128);
-  CollArgs bcast;
-  bcast.recv = small;
-  EXPECT_EQ(module.select(CollKind::kBcast, bcast).name, "switch");
-  bcast.recv = big;  // over the unit's payload cap: hierarchical software
-  EXPECT_EQ(module.select(CollKind::kBcast, bcast).name, "hier");
-}
-
 TEST(CollModule, RootedCollectiveVolumeIsNormalizedToTheRoot) {
   // Regression: gather/scatter used to compare the *per-peer* buffer size
   // against the large-message threshold, while their root actually moves
@@ -581,40 +564,6 @@ TEST(CollAlgorithms, RailAllreduceMatchesBaselineOnEvenLayouts) {
   });
 }
 
-TEST(CollAlgorithms, OversizedForcedSwitchBcastFallsBackConvergently) {
-  // Regression: the unit's payload cap used to be enforced only at
-  // contribution time, where it rejects just the root (the peers' uplinks
-  // are empty and were accepted) — the root ran the software fallback
-  // while every peer waited forever on a downlink. The cap is now checked
-  // before contributing, against the bcast count every member knows, so
-  // the whole communicator converges on the software path and the values
-  // still arrive.
-  simnet::MessageStore::set_wait_timeout_ms(10'000);
-  RuntimeConfig config;
-  config.world_size = 4;
-  config.ranks_per_node = 1;
-  config.topo.switch_coll = true;
-  config.topo.switch_max_payload = 64;
-  config.coll.force(CollKind::kBcast, "switch");
-  Runtime runtime(config);
-  runtime.run([](Rank& self) {
-    std::vector<std::int64_t> data(32, -1);  // 256 bytes > the 64-byte cap
-    if (self.world_rank() == 2) {
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = static_cast<std::int64_t>(1000 + i);
-      }
-    }
-    self.bcast(self.world(), wspan(data), 2);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      EXPECT_EQ(data[i], static_cast<std::int64_t>(1000 + i));
-    }
-    // Under the cap the unit serves the round in-switch as before.
-    std::vector<std::int64_t> small{self.world_rank() == 0 ? 77 : -1};
-    self.bcast(self.world(), wspan(small), 0);
-    EXPECT_EQ(small[0], 77);
-  });
-}
-
 TEST(CollModule, OptionsOverrideTuning) {
   std::vector<const char*> argv{"prog", "--coll-bcast=ring",
                                 "--coll-allreduce=linear",
@@ -633,6 +582,18 @@ TEST(CollModule, UnknownOptionAlgorithmThrows) {
   const Options options(static_cast<int>(argv.size()),
                         const_cast<char**>(argv.data()));
   EXPECT_THROW(coll::tuning_from_options(options), UsageError);
+}
+
+TEST(CollModule, RemovedSwitchAlgorithmIsRejected) {
+  // The deleted in-switch barrier/bcast must be rejected like any unknown
+  // algorithm.
+  for (const char* flag : {"--coll-barrier=switch", "--coll-bcast=switch"}) {
+    std::vector<const char*> argv{"prog", flag};
+    const Options options(static_cast<int>(argv.size()),
+                          const_cast<char**>(argv.data()));
+    CollTuning tuning;
+    EXPECT_THROW(coll::apply_coll_options(tuning, options), UsageError) << flag;
+  }
 }
 
 }  // namespace

@@ -91,9 +91,8 @@ TEST(VirtualTime, BarrierSynchronizesClocks) {
 
 TEST(VirtualTime, CrossNodeBarrierCostsMore) {
   // The premise (same software message schedule, pricier links) only holds
-  // for a fixed algorithm: pin dissemination so a MANATEE_COLL preset can't
-  // swap in the in-switch offload, whose NIC round trip costs the same on
-  // one node as on eight.
+  // for a fixed algorithm: pin dissemination so the topology-aware
+  // heuristic can never run the two placements on different schedules.
   const auto app = [](Rank& self) {
     for (int i = 0; i < 20; ++i) self.barrier(self.world());
   };
